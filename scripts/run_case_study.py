@@ -27,10 +27,7 @@ def main() -> None:
     faulty = ex.simulate(cfg, seed=args.seed, faults_enabled=True)
     baseline.trace.to_csv(args.out / "trace_baseline.csv")
     faulty.trace.to_csv(args.out / "trace_faulty.csv")
-    with open(args.out / "violations.csv", "w") as fh:
-        fh.write("t,joint,kind,value\n")
-        for v in faulty.violations:
-            fh.write(f"{v.t:.9g},{v.joint},{v.kind.value},{v.value:.9g}\n")
+    ex.write_violations_csv(faulty.violations, args.out / "violations.csv")
 
     print(f"seed {args.seed}")
     print(f"baseline: {baseline.classification.value} "

@@ -15,7 +15,8 @@ from pathlib import Path
 
 from . import engine, experiments, svgplot
 from .experiments import Classification
-from .scenario import ScenarioError, ScenarioParseError, load_scenario, load_scenario_file
+from .scenario import (ScenarioConfig, ScenarioError, ScenarioParseError, load_scenario,
+                       load_scenario_file)
 
 EXIT_OK = 0
 EXIT_VIOLATIONS = 1
@@ -91,15 +92,21 @@ def cmd_validate(args) -> int:
     return EXIT_OK
 
 
-def cmd_run(args) -> int:
+def _load_or_report(path) -> ScenarioConfig | None:
+    """The validated scenario, or None after printing why it cannot be used."""
     try:
-        cfg = load_scenario(args.scenario)
+        return load_scenario(path)
     except ScenarioParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
     except ScenarioError as exc:
         for v in exc.violations:
             print(v, file=sys.stderr)
+    return None
+
+
+def cmd_run(args) -> int:
+    cfg = _load_or_report(args.scenario)
+    if cfg is None:
         return EXIT_CONFIG
 
     seed = cfg.seed if args.seed is None else args.seed
@@ -114,10 +121,7 @@ def cmd_run(args) -> int:
     trace_path = args.out / "trace.csv"
     out.trace.to_csv(trace_path)
     violations_path = args.out / "violations.csv"
-    with open(violations_path, "w", newline="") as fh:
-        fh.write("t,joint,kind,value\n")
-        for v in out.violations:
-            fh.write(f"{v.t:.9g},{v.joint},{v.kind.value},{v.value:.9g}\n")
+    experiments.write_violations_csv(out.violations, violations_path)
 
     if not args.quiet:
         print(f"trace: {trace_path} ({len(out.trace)} steps, "
@@ -129,14 +133,8 @@ def cmd_run(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    try:
-        cfg = load_scenario(args.scenario)
-    except ScenarioParseError as exc:
-        print(f"parse error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except ScenarioError as exc:
-        for v in exc.violations:
-            print(v, file=sys.stderr)
+    cfg = _load_or_report(args.scenario)
+    if cfg is None:
         return EXIT_CONFIG
 
     if args.preset == "coarse":

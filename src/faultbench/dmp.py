@@ -23,6 +23,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .blocks import Block
+
 DEFAULT_ALPHA_Z = 25.0
 DEFAULT_ALPHA_S = 4.6  # phase reaches 1% of its initial value at t = tau
 DEFAULT_N_BASIS = 50
@@ -176,7 +178,7 @@ def replay(params: DmpParams, times: np.ndarray) -> np.ndarray:
     return out
 
 
-class DmpSystemBlock:
+class DmpSystemBlock(Block):
     """All joint primitives of one system, driven by a single shared phase.
 
     Emits per-joint position/velocity/acceleration targets as state outputs
@@ -194,13 +196,9 @@ class DmpSystemBlock:
         self.name = name
         self.joint_names = list(joint_names)
         self.params = list(params)
-        self.inputs: tuple[str, ...] = ()
-        self.emit_output_names: tuple[str, ...] = ()
-        self.feedthrough_inputs: tuple[str, ...] = ()
         self.state_output_names = tuple(
             f"dmp.{j}.{field}" for j in joint_names for field in ("pos", "vel", "acc")
         )
-        self.output_names = self.state_output_names
         self.reset()
 
     def reset(self) -> None:
@@ -218,9 +216,6 @@ class DmpSystemBlock:
             out[f"dmp.{joint}.vel"] = yd
             out[f"dmp.{joint}.acc"] = ydd
         return out
-
-    def emit(self, t: float, signals: dict[str, float], rng) -> dict[str, float]:
-        return {}
 
     def advance(self, t: float, signals: dict[str, float], dt: float) -> None:
         self.states = [

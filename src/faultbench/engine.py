@@ -27,7 +27,7 @@ import numpy as np
 from . import dmp as dmp_mod
 from . import faults as faults_mod
 from . import plant as plant_mod
-from .scenario import ScenarioConfig, load_demo_csv
+from .scenario import ClockConfig, ScenarioConfig, load_demo_csv
 
 
 class WiringError(Exception):
@@ -62,20 +62,6 @@ class NumericalDivergence(Exception):
     def __reduce__(self):  # survives process-pool boundaries
         return (NumericalDivergence, (self.t, self.block, self.signal, self.value,
                                       self.cell))
-
-
-@dataclass(frozen=True)
-class SimClock:
-    dt: float
-    t_end: float
-
-    def __post_init__(self):
-        if self.dt <= 0:
-            raise ValueError("dt must be > 0")
-
-    @property
-    def n_steps(self) -> int:
-        return round(self.t_end / self.dt)
 
 
 @dataclass(frozen=True)
@@ -238,14 +224,14 @@ def _block_seed(run_seed: int, block_name: str) -> np.random.SeedSequence:
     return np.random.SeedSequence([run_seed, int.from_bytes(digest[:8], "big")])
 
 
-def run(graph: BlockGraph, clock: SimClock, seed: int) -> TraceLog:
+def run(graph: BlockGraph, clock: ClockConfig, seed: int) -> TraceLog:
     """Execute all steps; returns the trace of monitored signals.
 
     Bit-identical output for identical (graph, clock, seed). Raises
     NumericalDivergence if any block produces a non-finite value.
     """
     steps = clock.n_steps
-    dt = clock.dt
+    dt = clock.dt_s
     columns = graph.monitored
     col_index = {name: i for i, name in enumerate(columns)}
     data = np.empty((steps, len(columns)))

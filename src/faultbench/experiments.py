@@ -1,11 +1,18 @@
 """Monte-Carlo fault-duration sweeps and fault-tolerance metrics.
 
-For every (duration, seed) cell the harness runs the scenario twice with the
-same seed: once with all injectors disabled (reference) and once enabled
-(faulty). Root-mean-square error between the two physical traces of the
+Every run, single or in a sweep, goes through :func:`simulate`. For every
+(duration, seed) cell a sweep runs the scenario twice with the same seed:
+once with all injectors disabled (the fault-free reference, or golden run)
+and once with them enabled (faulty). Today the reference depends on neither
+seed nor duration, since a disabled injector passes its input through without
+drawing from its RNG stream and the DMP, plant and monitor draw nothing; the
+per-cell pairing keeps it right if a block ever does draw.
+Root-mean-square error between a cell's faulty run and the reference on the
 faulted joint (angle, angular velocity, applied torque) quantifies the fault
 impact; the safety monitor of the faulty run classifies the cell as Nominal,
-Error, or Failure.
+Error, or Failure. Sweeps record every signal whatever the scenario's
+``monitors`` list says, so the metrics and the activation count never miss a
+column.
 
 Cells are independent jobs with a deterministic seed mapping, so results are
 identical regardless of the parallelism degree. Seeds are shared across
@@ -24,7 +31,8 @@ import numpy as np
 
 from . import engine, faults
 from .plant import ViolationKind, ViolationRecord
-from .scenario import ScenarioConfig, set_faults_enabled, with_injector_durations
+from .scenario import (MonitorConfig, ScenarioConfig, set_faults_enabled,
+                       with_injector_durations)
 
 FINE_DURATIONS = tuple(round(0.05 * (i + 1), 10) for i in range(10))      # 0.05 .. 0.5
 COARSE_DURATIONS = tuple(round(0.5 + 0.25 * i, 10) for i in range(11))    # 0.5 .. 3.0
@@ -102,8 +110,7 @@ def simulate(cfg: ScenarioConfig, seed: int | None = None,
     if not faults_enabled:
         cfg = set_faults_enabled(cfg, False)
     graph = engine.build_graph(cfg)
-    clock = engine.SimClock(dt=cfg.clock.dt_s, t_end=cfg.clock.t_end_s)
-    trace = engine.run(graph, clock, cfg.seed if seed is None else seed)
+    trace = engine.run(graph, cfg.clock, cfg.seed if seed is None else seed)
     violations = tuple(graph.block("monitor").violations)
     return RunOutput(trace=trace, violations=violations,
                      classification=classify_run(violations))
@@ -218,36 +225,32 @@ def _activation_windows(trace: engine.TraceLog, trigger_signal: str,
     return len(starts), min(gaps)
 
 
+def _joint_columns(trace: engine.TraceLog, joint: str) -> tuple[np.ndarray, ...]:
+    """Angle, angular velocity and applied torque of one joint."""
+    return tuple(trace.signal(f"plant.{joint}.{field}") for field in ("pos", "vel", "torque"))
+
+
 def _run_cell(cfg: ScenarioConfig, varied: tuple[str, ...], primary: str,
               joint: str, duration: float, seed_index: int,
               base_seed: int) -> CellResult:
-    cfg = with_injector_durations(cfg, varied, duration)
     seed = cell_seed(base_seed, seed_index)
-    graph = engine.build_graph(cfg)
-    clock = engine.SimClock(dt=cfg.clock.dt_s, t_end=cfg.clock.t_end_s)
-
-    inj_blocks = [b for b in graph.blocks if isinstance(b, faults.Injector)]
-    for b in inj_blocks:
-        b.enabled = False
-    reference = engine.run(graph, clock, seed)
-    for b in inj_blocks:
-        b.enabled = b.spec.enabled
+    reference = simulate(cfg, seed=seed, faults_enabled=False)
     try:
-        faulty = engine.run(graph, clock, seed)
+        out = simulate(with_injector_durations(cfg, varied, duration), seed=seed)
     except engine.NumericalDivergence as exc:
         raise engine.NumericalDivergence(exc.t, exc.block, exc.signal, exc.value,
                                          cell=(duration, seed_index)) from None
 
-    violations = graph.block("monitor").violations
-    n_act, min_gap = _activation_windows(faulty, f"inj.{primary}.trigger", cfg.clock.dt_s)
+    n_act, min_gap = _activation_windows(out.trace, f"inj.{primary}.trigger", cfg.clock.dt_s)
+    rmse_pos, rmse_vel, rmse_torque = map(rmse, _joint_columns(out.trace, joint),
+                                          _joint_columns(reference.trace, joint))
     return CellResult(
         duration_s=duration,
         seed_index=seed_index,
-        rmse_pos=rmse(faulty.signal(f"plant.{joint}.pos"), reference.signal(f"plant.{joint}.pos")),
-        rmse_vel=rmse(faulty.signal(f"plant.{joint}.vel"), reference.signal(f"plant.{joint}.vel")),
-        rmse_torque=rmse(faulty.signal(f"plant.{joint}.torque"),
-                         reference.signal(f"plant.{joint}.torque")),
-        classification=classify_run(violations),
+        rmse_pos=rmse_pos,
+        rmse_vel=rmse_vel,
+        rmse_torque=rmse_torque,
+        classification=out.classification,
         n_activations=n_act,
         min_gap_s=min_gap,
     )
@@ -271,8 +274,9 @@ def run_sweep(plan: SweepPlan, jobs: int = 1) -> SweepResult:
     varied = plan.resolved_varied()
     primary = plan.resolved_primary()
     joint = plan.metric_joint()
+    cfg = replace(plan.scenario, monitors=MonitorConfig())
 
-    tasks = [(plan.scenario, varied, primary, joint, d, si, plan.base_seed)
+    tasks = [(cfg, varied, primary, joint, d, si, plan.base_seed)
              for d in durations for si in range(plan.seeds_per_duration)]
     if jobs <= 1:
         cells = [_run_cell_args(t) for t in tasks]
@@ -304,7 +308,6 @@ def run_sweep(plan: SweepPlan, jobs: int = 1) -> SweepResult:
         for key in ("rmse_pos_rad", "rmse_vel_rad_s", "rmse_torque_nm"):
             fits[key] = fit_quadratic(durations, [a.mean[key] for a in aggregates])
 
-    d_star = _first_crossing(aggregates)
     bins = _bin_runs(cells, plan.gap_threshold_s)
     bin_d_star = {name: _first_crossing_cells(group, durations)
                   for name, group in bins.items()}
@@ -318,17 +321,10 @@ def run_sweep(plan: SweepPlan, jobs: int = 1) -> SweepResult:
         cells=tuple(cells),
         aggregates=tuple(aggregates),
         fits=fits,
-        d_star_s=d_star,
+        d_star_s=_first_crossing_cells(cells, durations),
         bin_d_star_s=bin_d_star,
         bin_counts=bin_counts,
     )
-
-
-def _first_crossing(aggregates) -> float | None:
-    for agg in aggregates:
-        if agg.failure_fraction >= 0.5:
-            return agg.duration_s
-    return None
 
 
 def _first_crossing_cells(cells, durations) -> float | None:
@@ -425,6 +421,13 @@ def write_summary_json(result: SweepResult, path) -> None:
 def read_summary_json(path) -> dict:
     with open(path) as fh:
         return json.load(fh)
+
+
+def write_violations_csv(violations, path) -> None:
+    with open(path, "w", newline="") as fh:
+        fh.write("t,joint,kind,value\n")
+        for v in violations:
+            fh.write(f"{v.t:.9g},{v.joint},{v.kind.value},{v.value:.9g}\n")
 
 
 # --------------------------------------------------------------------------

@@ -476,15 +476,18 @@ def set_faults_enabled(cfg: ScenarioConfig, enabled: bool) -> ScenarioConfig:
 def load_demo_csv(path) -> tuple[np.ndarray, np.ndarray]:
     """Read a demo CSV ``t, joint_0, ...``; returns (times, positions[n, j])."""
     try:
-        table = np.genfromtxt(path, delimiter=",", names=True)
+        with open(path) as fh:
+            header = [name.strip() for name in fh.readline().split(",")]
+            if header[0] != "t":
+                raise ValueError("demo CSV must have header 't, joint_0, ...'")
+            table = np.loadtxt(fh, delimiter=",", ndmin=2)
     except OSError as exc:
         raise ValueError(str(exc)) from exc
-    if table.dtype.names is None or table.dtype.names[0] != "t":
-        raise ValueError("demo CSV must have header 't, joint_0, ...'")
-    times = np.asarray(table["t"], dtype=float)
-    cols = [np.asarray(table[n], dtype=float) for n in table.dtype.names[1:]]
-    if len(times) < 3:
+    if len(table) < 3:
         raise ValueError("demo must have at least 3 samples")
-    if not cols:
+    if table.shape[1] != len(header):
+        raise ValueError(f"demo header names {len(header)} columns, rows have "
+                         f"{table.shape[1]}")
+    if table.shape[1] < 2:
         raise ValueError("demo has no joint columns")
-    return times, np.column_stack(cols)
+    return table[:, 0], table[:, 1:]

@@ -134,7 +134,7 @@ def test_criterion_1_fault_model_invariants():
                              effect=faults.ConstantTime(duration=0.05)),
         ], t_end=3.0)
         graph = engine.build_graph(pair_cfg)
-        trace = engine.run(graph, engine.SimClock(dt=dt, t_end=3.0), seed=5)
+        trace = engine.run(graph, pair_cfg.clock, seed=5)
         up = trace.signal("inj.up.trigger")
         down = trace.signal("inj.down.trigger")
         assert up.sum() > 0

@@ -1,6 +1,8 @@
 """Exit codes, emitted files, and determinism of the command-line interface."""
 
+import hashlib
 import json
+from pathlib import Path
 
 from faultbench import cli
 from faultbench.engine import TraceLog
@@ -9,10 +11,18 @@ from faultbench.scenario import data_path
 
 CASE_STUDY = str(data_path("case_study.json"))
 MINIMAL = str(data_path("minimal.json"))
+# sha256 of the output files for the shipped case study, base seed 0
+PINS = json.loads((Path(__file__).resolve().parents[1] / "bench" / "pins.json")
+                  .read_text())["full"]
 
 
 def run_cli(*argv):
     return cli.main(list(argv))
+
+
+def assert_pinned(out_dir, pinned, names=("trace.csv", "violations.csv")):
+    for name in names:
+        assert hashlib.sha256((out_dir / name).read_bytes()).hexdigest() == pinned[name], name
 
 
 # --------------------------------------------------------------------------
@@ -64,18 +74,21 @@ def test_run_failure_seed_exits_4(tmp_path, capsys):
     assert len(lines) > 1
     kinds = {line.split(",")[2] for line in lines[1:]}
     assert "AngleFailure" in kinds
+    assert_pinned(tmp_path, PINS["case_run"]["0"]["0"])
 
 
 def test_run_error_seed_exits_3(tmp_path, capsys):
     code = run_cli("run", CASE_STUDY, "--seed", "1", "--out", str(tmp_path), "--quiet")
     assert code == 3
     assert capsys.readouterr().out.strip() == "Error"
+    assert_pinned(tmp_path, PINS["case_run"]["0"]["1"])
 
 
 def test_run_nominal_faulty_seed_exits_0(tmp_path, capsys):
     code = run_cli("run", CASE_STUDY, "--seed", "18", "--out", str(tmp_path), "--quiet")
     assert code == 0
     assert capsys.readouterr().out.strip() == "Nominal"
+    assert_pinned(tmp_path, PINS["case_run"]["0"]["18"])
 
 
 def test_run_zero_duration_scenario(tmp_path, capsys):
@@ -101,12 +114,41 @@ def test_run_invalid_scenario_exits_2(tmp_path):
 # sweep
 
 
-def sweep_scenario(tmp_path, t_end=1.5):
+def sweep_scenario(tmp_path, t_end=1.5, name="sweep_scenario.json", **fields):
     raw = json.loads(data_path("case_study.json").read_text())
     raw["clock"]["t_end_s"] = t_end
-    p = tmp_path / "sweep_scenario.json"
+    raw.update(fields)
+    p = tmp_path / name
     p.write_text(json.dumps(raw))
     return str(p)
+
+
+def test_sweep_fine_preset_pinned(tmp_path):
+    out = tmp_path / "out"
+    assert run_cli("sweep", CASE_STUDY, "--preset", "fine", "--seeds", "1",
+                   "--jobs", "2", "--out", str(out), "--quiet") == 0
+    assert_pinned(out, PINS["fine_sweep"]["0"]["sweep"],
+                  ("sweep_results.csv", "sweep_summary.json"))
+
+
+def test_sweep_ignores_restricted_monitors(tmp_path):
+    injectors = json.loads(data_path("case_study.json").read_text())["injectors"]
+    injectors[0]["event"]["p"] = 0.005  # activations about 0.2 s apart
+    knee = [f"plant.right_knee.{field}" for field in ("pos", "vel", "torque")]
+    outs = []
+    # all signals; one metric column; the metric columns but no trigger line
+    for i, signals in enumerate((None, knee[:1], knee)):
+        monitors = {} if signals is None else {"signals": signals}
+        scenario = sweep_scenario(tmp_path, t_end=1.0, name=f"monitors{i}.json",
+                                  injectors=injectors, monitors=monitors)
+        outs.append(tmp_path / f"out{i}")
+        assert run_cli("sweep", scenario, "--durations", "0.05,0.1", "--seeds", "2",
+                       "--jobs", "1", "--out", str(outs[-1]), "--quiet") == 0
+    summary = json.loads((outs[0] / "sweep_summary.json").read_text())
+    assert summary["bins"]["consecutive"]["runs"] > 0
+    for out in outs[1:]:
+        for name in ("sweep_results.csv", "sweep_summary.json"):
+            assert (out / name).read_bytes() == (outs[0] / name).read_bytes(), name
 
 
 def test_sweep_outputs_and_cell_count(tmp_path, capsys):

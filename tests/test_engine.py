@@ -13,8 +13,7 @@ from conftest import make_scenario, stuck_spec
 
 def run_cfg(cfg, seed=0):
     graph = engine.build_graph(cfg)
-    clock = engine.SimClock(dt=cfg.clock.dt_s, t_end=cfg.clock.t_end_s)
-    return graph, engine.run(graph, clock, seed)
+    return graph, engine.run(graph, cfg.clock, seed)
 
 
 # --------------------------------------------------------------------------
@@ -149,9 +148,8 @@ def test_non_finite_output_raises_divergence():
     )
     cfg = make_scenario(injectors=[bad], t_end=0.5)
     graph = engine.build_graph(cfg)
-    clock = engine.SimClock(dt=1e-3, t_end=0.5)
     with pytest.raises(engine.NumericalDivergence) as exc_info:
-        engine.run(graph, clock, 0)
+        engine.run(graph, cfg.clock, 0)
     assert exc_info.value.block == "inj.inf_drop"
     assert exc_info.value.t == 0.0
 
@@ -213,9 +211,8 @@ def test_empty_trace_round_trip():
     assert len(back) == 0
 
 
-def test_simclock_step_count():
-    assert engine.SimClock(dt=1e-3, t_end=7.0).n_steps == 7000
-    assert engine.SimClock(dt=1e-3, t_end=0.0).n_steps == 0
-    assert engine.SimClock(dt=0.25, t_end=1.0).n_steps == 4
-    with pytest.raises(ValueError):
-        engine.SimClock(dt=0.0, t_end=1.0)
+def test_clock_step_count():
+    from faultbench.scenario import ClockConfig
+    assert ClockConfig(dt_s=1e-3, t_end_s=7.0).n_steps == 7000
+    assert ClockConfig(dt_s=1e-3, t_end_s=0.0).n_steps == 0
+    assert ClockConfig(dt_s=0.25, t_end_s=1.0).n_steps == 4
