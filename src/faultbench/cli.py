@@ -136,6 +136,9 @@ def cmd_sweep(args) -> int:
     cfg = _load_or_report(args.scenario)
     if cfg is None:
         return EXIT_CONFIG
+    if args.seeds < 1:
+        print(f"--seeds must be at least 1, got {args.seeds}", file=sys.stderr)
+        return EXIT_CONFIG
 
     if args.preset == "coarse":
         durations = experiments.COARSE_DURATIONS

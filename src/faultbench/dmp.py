@@ -17,6 +17,7 @@ exact solution, not Euler.
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass, replace
@@ -164,18 +165,66 @@ def learn_weights(times: np.ndarray, positions: np.ndarray,
     return replace(params, weights=weights)
 
 
+def _shared_phase(params: list[DmpParams]) -> tuple[float, float]:
+    """The (alpha_s, tau) every joint of one system shares with its phase."""
+    taus = {p.tau for p in params}
+    alphas = {p.alpha_s for p in params}
+    if len(taus) != 1 or len(alphas) != 1:
+        raise ValueError("all joints of one system must share tau and alpha_s")
+    return alphas.pop(), taus.pop()
+
+
+def rollout(params: list[DmpParams], dt: float, n_steps: int) -> np.ndarray:
+    """Targets of the joints ``params`` driven by one shared phase, for
+    ``n_steps`` steps of ``dt`` from the start state.
+
+    Returns a read-only array of shape (n_steps, 3 * len(params)) holding
+    pos, vel, acc per joint, row k being the targets at t = k * dt. Each
+    step evaluates ``dmp_step`` at the current state, then advances it by
+    Euler with dz = (ddy * tau) * dt. That product is not bit-equal to
+    ``dmp_step``'s own zdot * dt, and the pinned simulation outputs depend
+    on it.
+    """
+    alpha_s, tau = _shared_phase(params)
+    # canonical_step from s = 1 is exp(-alpha_s * dt / tau) exactly, and
+    # s * that factor is canonical_step from s
+    decay = canonical_step(CanonicalSystem(s=1.0, alpha_s=alpha_s, tau=tau), dt)
+    states = [DmpState(y=p.y0, z=p.z0) for p in params]
+    table = np.empty((n_steps, 3 * len(params)))
+    s = 1.0
+    for k in range(n_steps):
+        row = []
+        for j, (p, st) in enumerate(zip(params, states)):
+            _, y, yd, ydd = dmp_step(p, st, s, 0.0)
+            row += (y, yd, ydd)
+            states[j] = DmpState(y=st.y + yd * dt, z=st.z + (ydd * p.tau) * dt)
+        table[k] = row
+        s *= decay
+    table.flags.writeable = False
+    return table
+
+
 def replay(params: DmpParams, times: np.ndarray) -> np.ndarray:
     """Integrate the primitive at the given uniform time grid; returns y(t)."""
-    dt = float(times[1] - times[0])
-    state = DmpState(y=params.y0, z=params.z0)
-    cs = CanonicalSystem(s=1.0, alpha_s=params.alpha_s, tau=params.tau)
-    out = np.empty(len(times))
-    s = cs.s
-    for i in range(len(times)):
-        state, y, _, _ = dmp_step(params, state, s, dt)
-        out[i] = y
-        s = canonical_step(CanonicalSystem(s=s, alpha_s=params.alpha_s, tau=params.tau), dt)
-    return out
+    return rollout([params], float(times[1] - times[0]), len(times))[:, 0].copy()
+
+
+class TargetTable:
+    """The rollout of one DMP system on one clock, computed on first use.
+
+    The system is open-loop, so its targets are a constant of the scenario;
+    every graph built for that scenario can share one table.
+    """
+
+    def __init__(self, params: list[DmpParams], dt: float, n_steps: int):
+        _shared_phase(params)
+        self.params = list(params)
+        self.dt = dt
+        self.n_steps = n_steps
+
+    @functools.cached_property
+    def rows(self) -> np.ndarray:
+        return rollout(self.params, self.dt, self.n_steps)
 
 
 class DmpSystemBlock(Block):
@@ -183,44 +232,31 @@ class DmpSystemBlock(Block):
 
     Emits per-joint position/velocity/acceleration targets as state outputs
     (they depend only on internal state), so downstream blocks can consume
-    them in the same step.
+    them in the same step. The system has no inputs: its targets are fixed
+    by the scenario, so the block reads them row by row from a shared
+    ``TargetTable``, which rolls the primitives out on the first step of the
+    first run that uses it.
     """
 
-    def __init__(self, name: str, joint_names: list[str], params: list[DmpParams]):
-        if len(joint_names) != len(params):
+    def __init__(self, name: str, joint_names: list[str], targets: TargetTable):
+        if len(joint_names) != len(targets.params):
             raise ValueError("one parameter set per joint required")
-        taus = {p.tau for p in params}
-        alphas = {p.alpha_s for p in params}
-        if len(taus) != 1 or len(alphas) != 1:
-            raise ValueError("all joints of one system must share tau and alpha_s")
         self.name = name
         self.joint_names = list(joint_names)
-        self.params = list(params)
+        self.targets = targets
         self.state_output_names = tuple(
             f"dmp.{j}.{field}" for j in joint_names for field in ("pos", "vel", "acc")
         )
         self.reset()
 
     def reset(self) -> None:
-        self.states = [DmpState(y=p.y0, z=p.z0) for p in self.params]
-        self.s = 1.0
-        self._derivs: list[tuple[float, float]] = []
+        self.k = 0
 
     def state_outputs(self, t: float) -> dict[str, float]:
-        out: dict[str, float] = {}
-        self._derivs = []
-        for joint, p, st in zip(self.joint_names, self.params, self.states):
-            _, y, yd, ydd = dmp_step(p, st, self.s, 0.0)
-            self._derivs.append((yd, ydd * p.tau))  # (dy/dt, dz/dt)
-            out[f"dmp.{joint}.pos"] = y
-            out[f"dmp.{joint}.vel"] = yd
-            out[f"dmp.{joint}.acc"] = ydd
-        return out
+        return dict(zip(self.state_output_names, self.targets.rows[self.k].tolist()))
 
     def advance(self, t: float, signals: dict[str, float], dt: float) -> None:
-        self.states = [
-            DmpState(y=st.y + yd * dt, z=st.z + zd * dt)
-            for st, (yd, zd) in zip(self.states, self._derivs)
-        ]
-        p = self.params[0]
-        self.s = canonical_step(CanonicalSystem(s=self.s, alpha_s=p.alpha_s, tau=p.tau), dt)
+        if dt != self.targets.dt:
+            raise ValueError(f"DMP targets were rolled out with dt={self.targets.dt}, "
+                             f"stepped with dt={dt}")
+        self.k += 1

@@ -273,6 +273,29 @@ def _check_finite(out: dict[str, float], t: float, block: str) -> None:
 # scenario -> graph
 
 
+# One entry: every workload runs a single DMP system per process (a run, a
+# sweep worker's cells, a study's probes), so the last fit is the one reused.
+_dmp_memo: tuple[tuple, dmp_mod.TargetTable] | None = None
+
+
+def _dmp_targets(cfg: ScenarioConfig, times: np.ndarray, demo: np.ndarray,
+                 joint_names: list[str]) -> dmp_mod.TargetTable:
+    """The fitted primitives and their lazily rolled-out table, reused while
+    everything that determines them is unchanged: the parsed demo (not its
+    path), the DMP settings, the joints and the clock."""
+    global _dmp_memo
+    key = (times.tobytes(), demo.shape, demo.tobytes(), cfg.dmp, tuple(joint_names),
+           cfg.clock)
+    if _dmp_memo is None or _dmp_memo[0] != key:
+        params = []
+        for j in range(len(joint_names)):
+            base = dmp_mod.make_params(tau=1.0, g=0.0, alpha_z=cfg.dmp.alpha_z,
+                                       alpha_s=cfg.dmp.alpha_s, n_basis=cfg.dmp.n_basis)
+            params.append(dmp_mod.learn_weights(times, demo[:, j], base))
+        _dmp_memo = (key, dmp_mod.TargetTable(params, cfg.clock.dt_s, cfg.clock.n_steps))
+    return _dmp_memo[1]
+
+
 def build_graph(cfg: ScenarioConfig) -> BlockGraph:
     """Wire trajectory generator, plant, injectors, and monitor as declared.
 
@@ -280,6 +303,12 @@ def build_graph(cfg: ScenarioConfig) -> BlockGraph:
     every consumer except the monitor then reads the end of the chain. The
     monitor always reads the raw plant signals, because the safety verdict
     concerns the physical state, not the sensor view.
+
+    The trajectory generator is open-loop, so its targets depend only on the
+    demo, the DMP settings and the clock. They are fitted once per process
+    and rolled out on the first step of the first run of the graph (not
+    here); later graphs of the same scenario share that table, so the graph
+    must run on ``cfg.clock``.
     """
     times, demo = load_demo_csv(cfg.demo_path)
     joint_names = list(cfg.joint_names)
@@ -287,13 +316,8 @@ def build_graph(cfg: ScenarioConfig) -> BlockGraph:
         raise WiringError(f"demo has {demo.shape[1]} joint columns, scenario has "
                           f"{len(joint_names)} joints")
 
-    params = []
-    for j in range(len(joint_names)):
-        base = dmp_mod.make_params(tau=1.0, g=0.0, alpha_z=cfg.dmp.alpha_z,
-                                   alpha_s=cfg.dmp.alpha_s, n_basis=cfg.dmp.n_basis)
-        params.append(dmp_mod.learn_weights(times, demo[:, j], base))
-
-    dmp_block = dmp_mod.DmpSystemBlock("dmp", joint_names, params)
+    dmp_block = dmp_mod.DmpSystemBlock("dmp", joint_names,
+                                       _dmp_targets(cfg, times, demo, joint_names))
     plant_block = plant_mod.PlantBlock(
         "plant", list(cfg.joints), cfg.control.kp, cfg.control.kd,
         theta0=[float(demo[0, j]) for j in range(len(joint_names))],

@@ -271,6 +271,8 @@ def run_sweep(plan: SweepPlan, jobs: int = 1) -> SweepResult:
         raise ValueError("durations must be strictly increasing")
     if len(set(durations)) != len(durations):
         raise ValueError("durations must be distinct")
+    if plan.seeds_per_duration < 1:
+        raise ValueError("need at least one seed per duration")
     varied = plan.resolved_varied()
     primary = plan.resolved_primary()
     joint = plan.metric_joint()

@@ -313,7 +313,10 @@ class Injector(Block):
             return x + ft.offset
         if isinstance(ft, Noise):
             bound = abs(x) * ft.boundary_pct / 100.0
-            return x + rng.uniform(-bound, bound)
+            y = x + rng.uniform(-bound, bound)
+            while abs(y - x) > bound:  # the sum rounded past the bound
+                y = math.nextafter(y, x)
+            return y
         if isinstance(ft, TimeDelay):
             if k - self._act_step < self._delay_steps:
                 return self._held

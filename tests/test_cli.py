@@ -181,6 +181,15 @@ def test_sweep_without_varied_injector_exits_2(tmp_path):
                    "--out", str(tmp_path / "o")) == 2
 
 
+def test_sweep_without_seeds_exits_2(tmp_path, capsys):
+    scenario = sweep_scenario(tmp_path, t_end=0.2)
+    for seeds in ("0", "-1"):
+        assert run_cli("sweep", scenario, "--durations", "0.05", "--seeds", seeds,
+                       "--jobs", "1", "--out", str(tmp_path / "o"), "--quiet") == 2
+        assert "--seeds" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 def test_sweep_env_default_jobs(monkeypatch):
     monkeypatch.setenv("FAULTBENCH_JOBS", "2")
     args = cli.build_parser().parse_args(["sweep", "x.json"])

@@ -143,7 +143,8 @@ def test_joints_share_phase():
     t = np.arange(1001) * 1e-3
     demo = 0.3 * (1 - np.cos(2 * np.pi * t))
     p = dmp.learn_weights(t, demo, dmp.make_params(tau=1.0, g=0.0))
-    block = dmp.DmpSystemBlock("dmp", ["left_knee", "right_knee"], [p, p])
+    block = dmp.DmpSystemBlock("dmp", ["left_knee", "right_knee"],
+                               dmp.TargetTable([p, p], 1e-3, 500))
     block.reset()
     rng = np.random.default_rng(0)
     for k in range(500):
@@ -165,3 +166,45 @@ def test_velocity_is_scaled_state_identity():
         assert yd == state.z / p.tau
         state = new_state
         s = dmp.canonical_step(dmp.CanonicalSystem(s=s, alpha_s=p.alpha_s, tau=p.tau), 1e-3)
+
+
+def test_joints_must_share_phase():
+    p = dmp.make_params(tau=1.0, g=0.5)
+    with pytest.raises(ValueError):
+        dmp.TargetTable([p, dmp.make_params(tau=2.0, g=0.5)], 1e-3, 10)
+    with pytest.raises(ValueError):
+        dmp.rollout([p, dmp.make_params(tau=1.0, g=0.5, alpha_s=3.0)], 1e-3, 10)
+
+
+def stepped_block_targets(params, dt, n_steps):
+    """Step-by-step copy of the arithmetic the system block used before its
+    targets became a table: state outputs, then the Euler advance."""
+    states = [dmp.DmpState(y=p.y0, z=p.z0) for p in params]
+    s = 1.0
+    out = np.empty((n_steps, 3 * len(params)))
+    for k in range(n_steps):
+        derivs = []
+        for j, (p, st) in enumerate(zip(params, states)):
+            _, y, yd, ydd = dmp.dmp_step(p, st, s, 0.0)
+            derivs.append((yd, ydd * p.tau))
+            out[k, 3 * j:3 * j + 3] = (y, yd, ydd)
+        states = [dmp.DmpState(y=st.y + yd * dt, z=st.z + zd * dt)
+                  for st, (yd, zd) in zip(states, derivs)]
+        p = params[0]
+        s = dmp.canonical_step(dmp.CanonicalSystem(s=s, alpha_s=p.alpha_s, tau=p.tau), dt)
+    return out
+
+
+def test_rollout_matches_stepped_block_on_shipped_gait(case_study_cfg):
+    times, ys = load_demo_csv(data_path("demo_gait.csv"))
+    c = case_study_cfg.dmp
+    params = [dmp.learn_weights(times, ys[:, j],
+                                dmp.make_params(tau=1.0, g=0.0, alpha_z=c.alpha_z,
+                                                alpha_s=c.alpha_s, n_basis=c.n_basis))
+              for j in range(ys.shape[1])]
+    clock = case_study_cfg.clock
+    assert clock.n_steps == 7000
+    table = dmp.rollout(params, clock.dt_s, clock.n_steps)
+    assert table.shape == (7000, 3 * len(params))
+    assert not table.flags.writeable
+    assert np.array_equal(table, stepped_block_targets(params, clock.dt_s, clock.n_steps))

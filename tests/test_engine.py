@@ -216,3 +216,83 @@ def test_clock_step_count():
     assert ClockConfig(dt_s=1e-3, t_end_s=7.0).n_steps == 7000
     assert ClockConfig(dt_s=1e-3, t_end_s=0.0).n_steps == 0
     assert ClockConfig(dt_s=0.25, t_end_s=1.0).n_steps == 4
+
+
+# --------------------------------------------------------------------------
+# the DMP target table: fitted once per process, rolled out on first use
+
+
+@pytest.fixture
+def rollouts(monkeypatch):
+    """Starts from an empty memo and counts the DMP rollouts."""
+    from faultbench import dmp
+    calls = []
+    rollout = dmp.rollout
+
+    def counted(*args):
+        calls.append(args)
+        return rollout(*args)
+
+    monkeypatch.setattr(engine, "_dmp_memo", None)
+    monkeypatch.setattr(dmp, "rollout", counted)
+    return calls
+
+
+def test_build_graph_defers_the_rollout_and_shares_it(rollouts):
+    cfg = make_scenario(injectors=[stuck_spec()], t_end=0.5)
+    g1 = engine.build_graph(cfg)
+    assert rollouts == []
+    engine.run(g1, cfg.clock, 0)
+    assert len(rollouts) == 1
+    g2 = engine.build_graph(cfg)
+    assert g2.block("dmp").targets is g1.block("dmp").targets
+    engine.run(g2, cfg.clock, 1)
+    assert len(rollouts) == 1
+
+
+def test_simulate_twice_gives_identical_bytes(rollouts, case_study_cfg):
+    from dataclasses import replace
+    from faultbench import experiments
+    from faultbench.scenario import ClockConfig
+    cfg = replace(case_study_cfg, clock=ClockConfig(dt_s=1e-3, t_end_s=1.0))
+    first = experiments.simulate(cfg, seed=3)
+    second = experiments.simulate(cfg, seed=3)
+    assert len(rollouts) == 1
+    assert first.trace.to_csv_str() == second.trace.to_csv_str()
+    assert first.violations == second.violations
+
+
+def test_what_determines_the_table_gets_a_fresh_one(rollouts, tmp_path):
+    from dataclasses import replace
+    from faultbench.scenario import ClockConfig, DmpConfig
+    demo = tmp_path / "demo.csv"
+    t = np.arange(501) * 1e-3
+    demo.write_text("t,right_knee\n" + "".join(f"{a:.17g},{b:.17g}\n" for a, b in zip(t, 0.2 * t)))
+    cfg = replace(make_scenario(t_end=0.2), demo_path=str(demo))
+
+    def targets(c):
+        graph = engine.build_graph(c)
+        engine.run(graph, c.clock, 0)
+        return graph.block("dmp").targets
+
+    first = targets(cfg)
+    assert targets(cfg) is first
+    demo.write_text("t,right_knee\n" + "".join(f"{a:.17g},{b:.17g}\n" for a, b in zip(t, 0.3 * t)))
+    rewritten = targets(cfg)
+    assert rewritten is not first
+    assert not np.array_equal(rewritten.rows, first.rows)
+    stiffer = targets(replace(cfg, dmp=DmpConfig(alpha_z=30.0)))
+    assert stiffer is not rewritten
+    assert not np.array_equal(stiffer.rows, rewritten.rows)
+    longer = targets(replace(cfg, clock=ClockConfig(dt_s=1e-3, t_end_s=0.3)))
+    assert longer is not stiffer
+    assert longer.rows.shape == (300, 3)
+    assert len(rollouts) == 4
+
+
+def test_dmp_block_rejects_another_step_size(minimal_cfg):
+    from dataclasses import replace
+    from faultbench.scenario import ClockConfig
+    graph = engine.build_graph(minimal_cfg)
+    with pytest.raises(ValueError):
+        engine.run(graph, replace(minimal_cfg.clock, dt_s=2e-3), 0)

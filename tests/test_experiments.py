@@ -204,6 +204,12 @@ def test_sweep_requires_increasing_distinct_durations():
         ex.run_sweep(small_plan([0.1, 0.1]))
 
 
+def test_sweep_requires_a_seed_per_duration():
+    for seeds in (0, -1):
+        with pytest.raises(ValueError):
+            ex.run_sweep(small_plan([0.1], seeds=seeds))
+
+
 def test_plan_resolution(case_study_cfg):
     plan = ex.SweepPlan(scenario=case_study_cfg, durations=(0.1,))
     assert plan.resolved_varied() == ("knee_pos_stuck", "knee_vel_freeze")

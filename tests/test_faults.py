@@ -4,7 +4,7 @@ import math
 import struct
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from faultbench import faults
@@ -77,6 +77,7 @@ def test_bias_exactness(x, offset):
 
 @given(x=st.floats(-1e6, 1e6, allow_nan=False), pct=st.floats(0.0, 200.0),
        seed=st.integers(0, 2**31))
+@example(x=1.0, pct=1.0142271022548366e-14, seed=0)  # x + noise rounds past the bound
 def test_noise_boundedness(x, pct, seed):
     inj = make_injector(faults.Noise(boundary_pct=pct))
     outs, _ = drive(inj, [x] * 5, triggers=[True] * 5, seed=seed)
