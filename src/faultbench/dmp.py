@@ -166,12 +166,23 @@ def learn_weights(times: np.ndarray, positions: np.ndarray,
 
 
 def _shared_phase(params: list[DmpParams]) -> tuple[float, float]:
-    """The (alpha_s, tau) every joint of one system shares with its phase."""
+    """The (alpha_s, tau) every joint of one system shares with its phase.
+
+    The joints must also share one basis (``centers`` and ``widths``), so
+    the basis activations at a phase serve them all.
+    """
     taus = {p.tau for p in params}
     alphas = {p.alpha_s for p in params}
     if len(taus) != 1 or len(alphas) != 1:
         raise ValueError("all joints of one system must share tau and alpha_s")
+    first = params[0]
+    if not all(np.array_equal(p.centers, first.centers)
+               and np.array_equal(p.widths, first.widths) for p in params):
+        raise ValueError("all joints of one system must share the basis centers and widths")
     return alphas.pop(), taus.pop()
+
+
+ROLLOUT_CHUNK = 256  # steps whose basis activations are held at once
 
 
 def rollout(params: list[DmpParams], dt: float, n_steps: int) -> np.ndarray:
@@ -184,22 +195,42 @@ def rollout(params: list[DmpParams], dt: float, n_steps: int) -> np.ndarray:
     Euler with dz = (ddy * tau) * dt. That product is not bit-equal to
     ``dmp_step``'s own zdot * dt, and the pinned simulation outputs depend
     on it.
+
+    The phase and the basis activations are shared by all joints, so they
+    are computed in bulk, ``ROLLOUT_CHUNK`` steps at a time; the per-joint
+    arithmetic is ``forcing``'s and ``dmp_step``'s, in their order, so the
+    table is bit-equal to stepping them.
     """
     alpha_s, tau = _shared_phase(params)
     # canonical_step from s = 1 is exp(-alpha_s * dt / tau) exactly, and
-    # s * that factor is canonical_step from s
-    decay = canonical_step(CanonicalSystem(s=1.0, alpha_s=alpha_s, tau=tau), dt)
-    states = [DmpState(y=p.y0, z=p.z0) for p in params]
+    # the running product is canonical_step applied k times
+    phase = np.full(n_steps, canonical_step(CanonicalSystem(s=1.0, alpha_s=alpha_s,
+                                                            tau=tau), dt))
+    phase[:1] = 1.0
+    np.multiply.accumulate(phase, out=phase)
+    neg_widths = -params[0].widths
+    centers = params[0].centers
+    joints = [(p.alpha_z, p.beta_z, p.g, p.g - p.y0, p.weights) for p in params]
+    ys = [p.y0 for p in params]
+    zs = [p.z0 for p in params]
     table = np.empty((n_steps, 3 * len(params)))
-    s = 1.0
-    for k in range(n_steps):
-        row = []
-        for j, (p, st) in enumerate(zip(params, states)):
-            _, y, yd, ydd = dmp_step(p, st, s, 0.0)
-            row += (y, yd, ydd)
-            states[j] = DmpState(y=st.y + yd * dt, z=st.z + (ydd * p.tau) * dt)
-        table[k] = row
-        s *= decay
+    for start in range(0, n_steps, ROLLOUT_CHUNK):
+        s_chunk = phase[start:start + ROLLOUT_CHUNK]
+        psi = np.exp(neg_widths * (s_chunk[:, None] - centers) ** 2)
+        rows = []
+        for row, s, denom in zip(psi, s_chunk.tolist(), psi.sum(axis=1).tolist()):
+            out = []
+            for j, (alpha_z, beta_z, g, amplitude, weights) in enumerate(joints):
+                f = 0.0 if denom < 1e-300 else float(row @ weights) / denom * s * amplitude
+                y, z = ys[j], zs[j]
+                zdot = (alpha_z * (beta_z * (g - y) - z) + f) / tau
+                yd = z / tau
+                ydd = zdot / tau
+                out += (y, yd, ydd)
+                ys[j] = y + yd * dt
+                zs[j] = z + (ydd * tau) * dt
+            rows.append(out)
+        table[start:start + len(rows)] = rows
     table.flags.writeable = False
     return table
 

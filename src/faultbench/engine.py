@@ -20,6 +20,7 @@ from __future__ import annotations
 import hashlib
 import io
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -64,6 +65,9 @@ class NumericalDivergence(Exception):
                                       self.cell))
 
 
+TRACE_CSV_CHUNK = 256  # rows formatted per write
+
+
 @dataclass(frozen=True)
 class TraceLog:
     """Immutable per-step record of monitored signals."""
@@ -79,6 +83,8 @@ class TraceLog:
         return len(self.t)
 
     def to_csv(self, path_or_file) -> None:
+        """Write a ``t`` column and one column per signal, every value as
+        ``%.9g``, ``TRACE_CSV_CHUNK`` rows per write."""
         close = False
         if isinstance(path_or_file, (str, bytes)) or hasattr(path_or_file, "__fspath__"):
             fh = open(path_or_file, "w", newline="")
@@ -86,10 +92,12 @@ class TraceLog:
         else:
             fh = path_or_file
         try:
-            fh.write("t," + ",".join(self.columns) + "\n")
-            for i in range(len(self.t)):
-                row = self.data[i]
-                fh.write(f"{self.t[i]:.9g}," + ",".join(f"{v:.9g}" for v in row) + "\n")
+            fh.write(",".join(("t",) + self.columns) + "\n")
+            row_format = ",".join(["%.9g"] * (1 + len(self.columns))) + "\n"
+            for start in range(0, len(self.t), TRACE_CSV_CHUNK):
+                stop = start + TRACE_CSV_CHUNK
+                rows = np.column_stack((self.t[start:stop], self.data[start:stop])).tolist()
+                fh.write("".join([row_format % tuple(row) for row in rows]))
         finally:
             if close:
                 fh.close()
@@ -154,6 +162,8 @@ class BlockGraph:
             for sig in monitored:
                 if sig not in producers:
                     raise WiringError(f"monitored signal {sig!r} is not produced")
+            if len(set(monitored)) != len(monitored):
+                raise WiringError("monitored signals must be unique")
             self.monitored = tuple(monitored)
 
         self.emit_order = self._sort_feedthrough()
@@ -233,9 +243,11 @@ def run(graph: BlockGraph, clock: ClockConfig, seed: int) -> TraceLog:
     steps = clock.n_steps
     dt = clock.dt_s
     columns = graph.monitored
-    col_index = {name: i for i, name in enumerate(columns)}
     data = np.empty((steps, len(columns)))
     t_arr = np.arange(steps) * dt
+    # a tuple of the monitored values for several columns, one value for one
+    monitored_values = (operator.itemgetter(*columns) if columns
+                        else lambda signals: ())
 
     rngs = {b.name: np.random.Generator(np.random.PCG64(_block_seed(seed, b.name)))
             for b in graph.blocks}
@@ -243,27 +255,31 @@ def run(graph: BlockGraph, clock: ClockConfig, seed: int) -> TraceLog:
         b.reset()
 
     blocks = graph.blocks
-    emit_order = graph.emit_order
+    emitters = [(b, rngs[b.name]) for b in graph.emit_order]
+    isfinite = math.isfinite
     for k in range(steps):
         t = k * dt
         signals: dict[str, float] = {}
         for b in blocks:
             out = b.state_outputs(t)
-            _check_finite(out, t, b.name)
+            if not isfinite(sum(out.values())):
+                _check_finite(out, t, b.name)
             signals.update(out)
-        for b in emit_order:
-            out = b.emit(t, signals, rngs[b.name])
-            _check_finite(out, t, b.name)
+        for b, rng in emitters:
+            out = b.emit(t, signals, rng)
+            if not isfinite(sum(out.values())):
+                _check_finite(out, t, b.name)
             signals.update(out)
-        row = data[k]
-        for name, i in col_index.items():
-            row[i] = signals[name]
+        data[k] = monitored_values(signals)
         for b in blocks:
             b.advance(t, signals, dt)
     return TraceLog(columns=columns, t=t_arr, data=data)
 
 
 def _check_finite(out: dict[str, float], t: float, block: str) -> None:
+    """Raise on the first non-finite value of ``out``. The step loop calls
+    it only when the sum of ``out`` is non-finite, which every non-finite
+    value makes it; a finite overflow of the sum passes the scan."""
     for sig, v in out.items():
         if not math.isfinite(v):
             raise NumericalDivergence(t, block, sig, v)

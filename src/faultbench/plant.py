@@ -15,8 +15,10 @@ only physical limit enforced is actuator torque saturation.
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .blocks import Block
 
@@ -58,9 +60,13 @@ class JointParams:
     max_torque: float
     max_speed_rpm: float
 
+    @functools.cached_property
+    def max_speed(self) -> float:
+        """Speed rating in rad/s."""
+        return rpm_to_rad_s(self.max_speed_rpm)
 
-@dataclass(frozen=True)
-class JointState:
+
+class JointState(NamedTuple):
     theta: float
     omega: float
     tau_applied: float = 0.0
@@ -135,7 +141,7 @@ def joint_step(params: JointParams, state: JointState, tau: float, dt: float) ->
     alpha = (tau - params.damping * state.omega) / params.inertia
     omega = state.omega + alpha * dt
     theta = state.theta + omega * dt
-    return JointState(theta=theta, omega=omega, tau_applied=tau)
+    return JointState(theta, omega, tau)
 
 
 def monitor(joints: list[JointParams], thetas, omegas, tau_demands,
@@ -148,9 +154,12 @@ def monitor(joints: list[JointParams], thetas, omegas, tau_demands,
     """
     records = []
     for p, theta, omega, tau in zip(joints, thetas, omegas, tau_demands):
+        if abs(tau) <= p.max_torque and abs(omega) <= p.max_speed \
+                and p.rot_min <= theta <= p.rot_max:
+            continue
         if abs(tau) > p.max_torque:
             records.append(ViolationRecord(t, p.name, ViolationKind.TORQUE_ERROR, tau))
-        if abs(omega) > rpm_to_rad_s(p.max_speed_rpm):
+        if abs(omega) > p.max_speed:
             records.append(ViolationRecord(t, p.name, ViolationKind.SPEED_ERROR, omega))
         if theta < p.rot_min or theta > p.rot_max:
             records.append(ViolationRecord(t, p.name, ViolationKind.ANGLE_FAILURE, theta))
@@ -190,6 +199,7 @@ class PlantBlock(Block):
             f"plant.{j}.{field}" for j in jn for field in ("torque", "torque_cmd")
         )
         self.torque_signals = [f"plant.{j}.torque" for j in jn]
+        self.torque_cmd_signals = [f"plant.{j}.torque_cmd" for j in jn]
         self.reset()
 
     @property
@@ -205,23 +215,21 @@ class PlantBlock(Block):
         self.states = [JointState(theta=th0, omega=0.0) for th0 in self.theta0]
 
     def state_outputs(self, t: float) -> dict[str, float]:
-        out = {}
-        for p, st in zip(self.joints, self.states):
-            out[f"plant.{p.name}.pos"] = st.theta
-            out[f"plant.{p.name}.vel"] = st.omega
-        return out
+        return dict(zip(self.state_output_names,
+                        [v for st in self.states for v in (st.theta, st.omega)]))
 
     def emit(self, t: float, signals: dict[str, float], rng) -> dict[str, float]:
         out = {}
-        for i, p in enumerate(self.joints):
-            pos_sig, vel_sig, acc_sig = self.target_signals[i]
+        for p, (pos_sig, vel_sig, acc_sig), meas_pos, meas_vel, torque, torque_cmd in zip(
+                self.joints, self.target_signals, self.measured_pos, self.measured_vel,
+                self.torque_signals, self.torque_cmd_signals):
             tau_cmd, demand = dynamic_control(
                 signals[pos_sig], signals[vel_sig], signals[acc_sig],
-                signals[self.measured_pos[i]], signals[self.measured_vel[i]],
+                signals[meas_pos], signals[meas_vel],
                 p.inertia, self.kp, self.kd, p.max_torque,
             )
-            out[f"plant.{p.name}.torque"] = tau_cmd
-            out[f"plant.{p.name}.torque_cmd"] = demand
+            out[torque] = tau_cmd
+            out[torque_cmd] = demand
         return out
 
     def advance(self, t: float, signals: dict[str, float], dt: float) -> None:

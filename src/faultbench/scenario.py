@@ -298,6 +298,8 @@ def parse_scenario(raw: dict, base_dir: Path) -> tuple[ScenarioConfig, list[str]
             for s in mon_signals:
                 if s not in available:
                     errs.append(f"monitors: unknown signal {s!r}")
+            for s in sorted({s for s in mon_signals if mon_signals.count(s) > 1}):
+                errs.append(f"monitors: signal {s!r} listed more than once")
     monitors = MonitorConfig(signals=None if mon_signals is None else tuple(mon_signals))
 
     seed = raw.get("seed", 0)

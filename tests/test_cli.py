@@ -44,6 +44,16 @@ def test_validate_semantic_violation_lists_and_exits_1(tmp_path, capsys):
     assert "chained to itself" in capsys.readouterr().out
 
 
+def test_validate_duplicate_monitor_signal_exits_1(tmp_path, capsys):
+    raw = json.loads(data_path("case_study.json").read_text())
+    raw["monitors"] = {"signals": ["plant.right_knee.pos", "plant.right_knee.pos"]}
+    p = tmp_path / "dup.json"
+    p.write_text(json.dumps(raw))
+    assert run_cli("validate", str(p)) == 1
+    assert "listed more than once" in capsys.readouterr().out
+    assert run_cli("run", str(p), "--out", str(tmp_path / "out"), "--quiet") == 2
+
+
 def test_validate_parse_error_exits_2(tmp_path):
     p = tmp_path / "broken.json"
     p.write_text("{]")
@@ -100,6 +110,19 @@ def test_run_zero_duration_scenario(tmp_path, capsys):
     assert code == 0
     trace = TraceLog.from_csv(tmp_path / "out" / "trace.csv")
     assert len(trace) == 0
+
+
+def test_run_without_monitored_signals_writes_the_time_column(tmp_path, capsys):
+    raw = json.loads(data_path("minimal.json").read_text())
+    raw["clock"]["t_end_s"] = 0.003
+    raw["monitors"] = {"signals": []}
+    p = tmp_path / "unmonitored.json"
+    p.write_text(json.dumps(raw))
+    assert run_cli("run", str(p), "--out", str(tmp_path / "out"), "--quiet") == 0
+    assert (tmp_path / "out" / "trace.csv").read_text() == "t\n0\n0.001\n0.002\n"
+    trace = TraceLog.from_csv(tmp_path / "out" / "trace.csv")
+    assert trace.columns == ()
+    assert trace.data.shape == (3, 0)
 
 
 def test_run_invalid_scenario_exits_2(tmp_path):

@@ -176,6 +176,17 @@ def test_joints_must_share_phase():
         dmp.rollout([p, dmp.make_params(tau=1.0, g=0.5, alpha_s=3.0)], 1e-3, 10)
 
 
+def test_joints_must_share_basis():
+    from dataclasses import replace
+    p = dmp.make_params(tau=1.0, g=0.5)
+    with pytest.raises(ValueError):
+        dmp.TargetTable([p, dmp.make_params(tau=1.0, g=0.5, n_basis=40)], 1e-3, 10)
+    with pytest.raises(ValueError):
+        dmp.rollout([p, replace(p, widths=2.0 * p.widths)], 1e-3, 10)
+    with pytest.raises(ValueError):
+        dmp.rollout([p, replace(p, centers=p.centers + 1e-9)], 1e-3, 10)
+
+
 def stepped_block_targets(params, dt, n_steps):
     """Step-by-step copy of the arithmetic the system block used before its
     targets became a table: state outputs, then the Euler advance."""
@@ -208,3 +219,28 @@ def test_rollout_matches_stepped_block_on_shipped_gait(case_study_cfg):
     assert table.shape == (7000, 3 * len(params))
     assert not table.flags.writeable
     assert np.array_equal(table, stepped_block_targets(params, clock.dt_s, clock.n_steps))
+
+
+@pytest.mark.parametrize("n_steps", [0, 1, 255, 256, 257, 1000])
+def test_rollout_matches_stepped_block_across_chunks(n_steps):
+    t = np.arange(1001) * 1e-3
+    demos = [0.3 * (1 - np.cos(2 * np.pi * t)), -0.5 * t**2, np.sin(3 * t)]
+    params = [dmp.learn_weights(t, demo, dmp.make_params(tau=1.0, g=0.0))
+              for demo in demos]
+    table = dmp.rollout(params, 1e-3, n_steps)
+    assert table.shape == (n_steps, 9)
+    assert np.array_equal(table, stepped_block_targets(params, 1e-3, n_steps))
+
+
+def test_rollout_matches_stepped_block_on_edge_bases():
+    from dataclasses import replace
+    single = dmp.make_params(tau=0.5, g=1.0, y0=0.2, n_basis=1, weights=np.array([30.0]))
+    assert np.array_equal(dmp.rollout([single], 1e-3, 700),
+                          stepped_block_targets([single], 1e-3, 700))
+    # kernels so sharp that every activation underflows away from the centers:
+    # the forcing term is zero there
+    sharp = dmp.make_params(tau=1.0, g=1.0, weights=np.full(50, 100.0))
+    sharp = replace(sharp, widths=sharp.widths * 1e6)
+    table = dmp.rollout([sharp, replace(sharp, g=-1.0)], 1e-3, 1000)
+    assert np.array_equal(table, stepped_block_targets([sharp, replace(sharp, g=-1.0)],
+                                                       1e-3, 1000))

@@ -7,6 +7,8 @@ import numpy as np
 import pytest
 
 from faultbench import engine, faults
+from faultbench.blocks import Block
+from faultbench.scenario import ClockConfig
 
 from conftest import make_scenario, stuck_spec
 
@@ -154,6 +156,99 @@ def test_non_finite_output_raises_divergence():
     assert exc_info.value.t == 0.0
 
 
+class Emitter(Block):
+    """Puts out ``values`` under ``prefix.<key>`` from step ``bad_step`` on
+    and 0.0 before, as state outputs or as emitted outputs."""
+
+    def __init__(self, name, values, emitted, bad_step=3):
+        self.name = name
+        self.values = values
+        self.bad_step = bad_step
+        names = tuple(f"{name}.{key}" for key in values)
+        if emitted:
+            self.emit_output_names = names
+        else:
+            self.state_output_names = names
+        self.reset()
+
+    def reset(self):
+        self.k = 0
+
+    def _out(self):
+        names = self.emit_output_names or self.state_output_names
+        if self.k < self.bad_step:
+            return dict.fromkeys(names, 0.0)
+        return dict(zip(names, self.values.values()))
+
+    def state_outputs(self, t):
+        return {} if self.emit_output_names else self._out()
+
+    def emit(self, t, signals, rng):
+        return self._out()
+
+    def advance(self, t, signals, dt):
+        self.k += 1
+
+
+NON_FINITE_OUTPUTS = [
+    ({"a": 1.0, "b": math.nan, "c": 2.0}, "b"),
+    ({"a": math.inf, "b": 1.0}, "a"),
+    ({"a": 1.0, "b": 2.0, "c": -math.inf}, "c"),
+    ({"a": 1.0, "b": math.inf, "c": -math.inf}, "b"),
+]
+
+
+@pytest.mark.parametrize("emitted", [False, True], ids=["state", "emit"])
+@pytest.mark.parametrize("values,signal", NON_FINITE_OUTPUTS,
+                         ids=["nan", "+inf", "-inf", "inf-inf"])
+def test_first_non_finite_output_names_block_signal_and_time(values, signal, emitted):
+    graph = engine.BlockGraph([Emitter("quiet", {"x": 1.0}, emitted=False),
+                               Emitter("src", values, emitted)])
+    with pytest.raises(engine.NumericalDivergence) as exc_info:
+        engine.run(graph, ClockConfig(dt_s=0.25, t_end_s=2.0), 0)
+    err = exc_info.value
+    assert (err.block, err.signal, err.t) == ("src", f"src.{signal}", 0.75)
+    assert repr(err.value) == repr(values[signal])
+
+
+@pytest.mark.parametrize("emitted", [False, True], ids=["state", "emit"])
+def test_finite_outputs_whose_sum_overflows_pass(emitted):
+    graph = engine.BlockGraph([Emitter("src", {"a": 1e308, "b": 1e308, "c": -1e308},
+                                       emitted)])
+    trace = engine.run(graph, ClockConfig(dt_s=0.25, t_end_s=1.0), 0)
+    assert trace.data.tolist()[-1] == [1e308, 1e308, -1e308]
+
+
+def test_run_calls_each_step_method_once_per_step(case_study_cfg):
+    """engine.run calls state_outputs, emit and advance on each block
+    instance every step, and an injector's emit returns a dict with its
+    trigger signal; tracing that wraps these methods relies on both."""
+    from dataclasses import replace
+    cfg = replace(case_study_cfg, clock=ClockConfig(dt_s=1e-3, t_end_s=0.2))
+    graph = engine.build_graph(cfg)
+    plant_block = graph.block("plant")
+    calls = {"state_outputs": 0, "emit": 0, "advance": 0}
+    for method in calls:
+        def counted(*args, method=method, original=getattr(plant_block, method)):
+            calls[method] += 1
+            return original(*args)
+        setattr(plant_block, method, counted)
+    injectors = [b for b in graph.blocks if isinstance(b, faults.Injector)]
+    assert len(injectors) == 2
+    emitted = {b.name: [] for b in injectors}
+    for b in injectors:
+        def recorded(*args, out=emitted[b.name], original=b.emit):
+            out.append(original(*args))
+            return out[-1]
+        b.emit = recorded
+
+    engine.run(graph, cfg.clock, 0)
+    assert calls == {"state_outputs": 200, "emit": 200, "advance": 200}
+    for b in injectors:
+        assert len(emitted[b.name]) == 200
+        assert all(type(out) is dict and b.trigger_signal in out for out in emitted[b.name])
+
+
 def test_chaining_synchrony(case_study_cfg):
     _, trace = run_cfg(case_study_cfg, seed=3)
     up = trace.signal("inj.knee_pos_stuck.trigger")
@@ -167,6 +262,13 @@ def test_monitored_subset_limits_columns():
                         t_end=0.1)
     _, trace = run_cfg(cfg)
     assert trace.columns == ("plant.right_knee.pos", "dmp.right_knee.pos")
+
+
+def test_duplicate_monitored_signal_rejected():
+    cfg = make_scenario(monitored=("plant.right_knee.pos", "plant.right_knee.pos"),
+                        t_end=0.1)
+    with pytest.raises(engine.WiringError):
+        engine.build_graph(cfg)
 
 
 def test_unknown_monitored_signal_rejected():
@@ -202,6 +304,49 @@ def test_trace_csv_header_and_format(minimal_cfg):
     assert lines[0].startswith("t,")
     assert len(lines) == 1 + 2
     assert lines[1].split(",")[0] == "0"
+
+
+def per_value_csv(trace):
+    """The trace writer as it was before rows were formatted in chunks, with
+    a header of ``t`` alone when there are no columns."""
+    lines = [",".join(("t",) + trace.columns)]
+    for i in range(len(trace.t)):
+        lines.append(",".join(f"{v:.9g}" for v in (trace.t[i], *trace.data[i])))
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("n_rows", [0, 1, 255, 256, 257])
+@pytest.mark.parametrize("n_columns", [0, 1, 7])
+def test_trace_csv_bytes_match_per_value_formatting(n_rows, n_columns):
+    specials = [math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e308, -1e308, 0.1, 1 / 3]
+    rng = np.random.default_rng(n_rows * 10 + n_columns)
+    values = rng.normal(0.0, 10.0, size=n_rows * n_columns) * 10.0 ** rng.integers(
+        -12, 12, size=n_rows * n_columns)
+    values[:len(specials)] = specials[:len(values)]
+    trace = engine.TraceLog(columns=tuple(f"s{i}" for i in range(n_columns)),
+                            t=np.arange(n_rows) * 1e-3,
+                            data=values.reshape(n_rows, n_columns))
+    assert trace.to_csv_str() == per_value_csv(trace)
+
+
+def test_zero_column_trace_round_trip():
+    trace = engine.TraceLog(columns=(), t=np.arange(3) * 0.5, data=np.empty((3, 0)))
+    text = trace.to_csv_str()
+    assert text == "t\n0\n0.5\n1\n"
+    back = engine.TraceLog.from_csv(io.StringIO(text))
+    assert back.columns == ()
+    assert np.array_equal(back.t, trace.t)
+    assert back.data.shape == (3, 0)
+
+
+@pytest.mark.parametrize("monitored", [(), ("plant.right_knee.vel",)])
+def test_monitored_columns_match_the_full_trace(monitored):
+    _, full = run_cfg(make_scenario(t_end=0.05))
+    _, trace = run_cfg(make_scenario(monitored=monitored, t_end=0.05))
+    assert trace.columns == monitored
+    assert trace.data.shape == (50, len(monitored))
+    for name in monitored:
+        assert np.array_equal(trace.signal(name), full.signal(name))
 
 
 def test_empty_trace_round_trip():

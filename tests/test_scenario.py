@@ -117,6 +117,14 @@ def test_bit_flip_position_validation(tmp_path):
     assert any("distinct" in v for v in violations)
 
 
+def test_duplicate_monitor_signal_flagged(tmp_path):
+    raw = case_study_raw()
+    raw["monitors"] = {"signals": ["plant.right_knee.pos", "plant.right_knee.vel",
+                                   "plant.right_knee.pos"]}
+    _, violations = load_scenario_file(write(tmp_path, raw))
+    assert violations == ["monitors: signal 'plant.right_knee.pos' listed more than once"]
+
+
 def test_unknown_joint_name_flagged(tmp_path):
     raw = {"joints": [{"name": "left_wrist"}]}
     _, violations = load_scenario_file(write(tmp_path, raw))
