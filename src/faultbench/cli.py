@@ -146,10 +146,12 @@ def cmd_sweep(args) -> int:
         durations = experiments.FINE_DURATIONS
     else:
         try:
-            durations = tuple(sorted(float(d) for d in args.durations.split(",")))
-        except ValueError:
-            print(f"bad --durations list: {args.durations!r}", file=sys.stderr)
+            durations = tuple(float(d) for d in args.durations.split(","))
+            experiments.check_durations(durations)
+        except ValueError as exc:
+            print(f"bad --durations list {args.durations!r}: {exc}", file=sys.stderr)
             return EXIT_CONFIG
+        durations = tuple(sorted(durations))
 
     base_seed = cfg.seed if args.seed is None else args.seed
     plan = experiments.SweepPlan(scenario=cfg, durations=durations,

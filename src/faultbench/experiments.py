@@ -10,9 +10,11 @@ per-cell pairing keeps it right if a block ever does draw.
 Root-mean-square error between a cell's faulty run and the reference on the
 faulted joint (angle, angular velocity, applied torque) quantifies the fault
 impact; the safety monitor of the faulty run classifies the cell as Nominal,
-Error, or Failure. Sweeps record every signal whatever the scenario's
-``monitors`` list says, so the metrics and the activation count never miss a
-column.
+Error, or Failure. Whatever the scenario's ``monitors`` list says, both runs
+of a cell record exactly the four columns the cell reads: the faulted joint's
+angle, angular velocity and applied torque, and the primary injector's
+trigger line. A bit-flip or small-fault probe reads only the violations and
+records no column.
 
 Cells are independent jobs with a deterministic seed mapping, so results are
 identical regardless of the parallelism degree. Seeds are shared across
@@ -24,6 +26,7 @@ from __future__ import annotations
 
 import enum
 import json
+import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 
@@ -225,9 +228,13 @@ def _activation_windows(trace: engine.TraceLog, trigger_signal: str,
     return len(starts), min(gaps)
 
 
-def _joint_columns(trace: engine.TraceLog, joint: str) -> tuple[np.ndarray, ...]:
+def _joint_signals(joint: str) -> tuple[str, ...]:
     """Angle, angular velocity and applied torque of one joint."""
-    return tuple(trace.signal(f"plant.{joint}.{field}") for field in ("pos", "vel", "torque"))
+    return tuple(f"plant.{joint}.{field}" for field in ("pos", "vel", "torque"))
+
+
+def _joint_columns(trace: engine.TraceLog, joint: str) -> tuple[np.ndarray, ...]:
+    return tuple(trace.signal(name) for name in _joint_signals(joint))
 
 
 def _run_cell(cfg: ScenarioConfig, varied: tuple[str, ...], primary: str,
@@ -256,6 +263,16 @@ def _run_cell(cfg: ScenarioConfig, varied: tuple[str, ...], primary: str,
     )
 
 
+def check_durations(durations) -> None:
+    """Raise ValueError unless every duration is finite, non-negative and
+    listed once."""
+    for d in durations:
+        if not math.isfinite(d) or d < 0.0:
+            raise ValueError(f"fault durations must be finite and non-negative, got {d!r}")
+    if len(set(durations)) != len(durations):
+        raise ValueError("durations must be distinct")
+
+
 def _run_cell_args(args) -> CellResult:
     return _run_cell(*args)
 
@@ -266,17 +283,22 @@ def run_sweep(plan: SweepPlan, jobs: int = 1) -> SweepResult:
     The cell list and its seed mapping are fixed by the plan, so any ``jobs``
     value produces identical results.
     """
+    check_durations(plan.durations)
     durations = tuple(sorted(plan.durations))
     if list(durations) != list(plan.durations):
         raise ValueError("durations must be strictly increasing")
-    if len(set(durations)) != len(durations):
-        raise ValueError("durations must be distinct")
     if plan.seeds_per_duration < 1:
         raise ValueError("need at least one seed per duration")
     varied = plan.resolved_varied()
     primary = plan.resolved_primary()
+    injectors = {s.name for s in plan.scenario.injectors}
+    for name in (*varied, primary):
+        if name not in injectors:
+            raise ValueError(f"sweep names injector {name!r}, which the scenario "
+                             f"does not have")
     joint = plan.metric_joint()
-    cfg = replace(plan.scenario, monitors=MonitorConfig())
+    cfg = replace(plan.scenario, monitors=MonitorConfig(
+        signals=_joint_signals(joint) + (f"inj.{primary}.trigger",)))
 
     tasks = [(cfg, varied, primary, joint, d, si, plan.base_seed)
              for d in durations for si in range(plan.seeds_per_duration)]
@@ -497,7 +519,7 @@ def run_small_fault_probes(cfg: ScenarioConfig, joint: str, n_seeds: int,
 
 def _probe_once(cfg: ScenarioConfig, seed: int, index: int, detail: str) -> ProbeOutcome:
     try:
-        out = simulate(cfg, seed=seed)
+        out = simulate(replace(cfg, monitors=MonitorConfig(signals=())), seed=seed)
     except engine.NumericalDivergence:
         return ProbeOutcome(seed_index=index, detail=detail, classification=None,
                             diverged=True)

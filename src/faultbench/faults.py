@@ -251,29 +251,22 @@ class Injector(Block):
         if k == 0:
             self._held = x
 
-        if not self.enabled:
-            self._record_input(x)
-            return x, False
-
-        if self._phase is Phase.ARMED:
-            if trigger_in or self._event_fires(t, rng):
-                self._activate(k, rng)
-            if self._phase is Phase.ARMED:  # not activated, or zero-length window
-                self._held = x
-                self._record_input(x)
-                return x, False
-
-        if self._phase is Phase.ACTIVE:
-            y = self._apply(x, k, rng)
-            self._record_input(x)
-            if self._steps_left is not None:
-                self._steps_left -= 1
-                if self._steps_left == 0:
-                    self._deactivate()
-            return y, True
-
-        self._record_input(x)
-        return x, False
+        y, trig = x, False
+        if self.enabled:
+            if self._phase is Phase.ARMED:
+                if trigger_in or self._event_fires(t, rng):
+                    self._activate(k, rng)
+                if self._phase is Phase.ARMED:  # not activated, or zero-length window
+                    self._held = x
+            if self._phase is Phase.ACTIVE:
+                y, trig = self._apply(x, k, rng), True
+                if self._steps_left is not None:
+                    self._steps_left -= 1
+                    if self._steps_left == 0:
+                        self._deactivate()
+        if self._dbuf is not None:
+            self._dbuf.append(x)
+        return y, trig
 
     def _event_fires(self, t: float, rng) -> bool:
         ev = self.spec.event
@@ -325,13 +318,10 @@ class Injector(Block):
             return flip_bits(x, self._mask)
         raise TypeError(f"unknown fault type: {ft!r}")
 
-    def _record_input(self, x: float) -> None:
-        if self._dbuf is not None:
-            self._dbuf.append(x)
-
     # -- block protocol -------------------------------------------------------
 
     def emit(self, t: float, signals: dict[str, float], rng) -> dict[str, float]:
-        trigger_in = any(signals[s] >= 0.5 for s in self.trigger_sources)
+        trigger_in = (any(signals[s] >= 0.5 for s in self.trigger_sources)
+                      if self.trigger_sources else False)
         y, trig = self.step(float(signals[self.in_signal]), t, trigger_in, rng)
         return {self.out_signal: y, self.trigger_signal: 1.0 if trig else 0.0}

@@ -17,6 +17,7 @@ from __future__ import annotations
 import enum
 import functools
 import math
+import operator
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -200,6 +201,10 @@ class PlantBlock(Block):
         )
         self.torque_signals = [f"plant.{j}.torque" for j in jn]
         self.torque_cmd_signals = [f"plant.{j}.torque_cmd" for j in jn]
+        self._state_pairs = tuple(zip(self.state_output_names[0::2],
+                                      self.state_output_names[1::2]))
+        self._dynamics = tuple((sig, p.damping, p.inertia)
+                               for sig, p in zip(self.torque_signals, self.joints))
         self.reset()
 
     @property
@@ -212,11 +217,15 @@ class PlantBlock(Block):
         return tuple(names)
 
     def reset(self) -> None:
-        self.states = [JointState(theta=th0, omega=0.0) for th0 in self.theta0]
+        self.thetas = list(self.theta0)
+        self.omegas = [0.0] * len(self.joints)
 
     def state_outputs(self, t: float) -> dict[str, float]:
-        return dict(zip(self.state_output_names,
-                        [v for st in self.states for v in (st.theta, st.omega)]))
+        out = {}
+        for (pos, vel), theta, omega in zip(self._state_pairs, self.thetas, self.omegas):
+            out[pos] = theta
+            out[vel] = omega
+        return out
 
     def emit(self, t: float, signals: dict[str, float], rng) -> dict[str, float]:
         out = {}
@@ -233,10 +242,21 @@ class PlantBlock(Block):
         return out
 
     def advance(self, t: float, signals: dict[str, float], dt: float) -> None:
-        self.states = [
-            joint_step(p, st, signals[sig], dt)
-            for p, st, sig in zip(self.joints, self.states, self.torque_signals)
-        ]
+        """``joint_step`` for every joint, on the state lists in place."""
+        thetas, omegas = self.thetas, self.omegas
+        for i, (sig, damping, inertia) in enumerate(self._dynamics):
+            omega = omegas[i]
+            alpha = (signals[sig] - damping * omega) / inertia
+            omega += alpha * dt
+            omegas[i] = omega
+            thetas[i] += omega * dt
+
+
+def _tuple_getter(names: list[str]):
+    """``operator.itemgetter`` that returns a tuple for any number of names."""
+    if len(names) >= 2:
+        return operator.itemgetter(*names)
+    return lambda signals: tuple(signals[name] for name in names)
 
 
 class MonitorBlock(Block):
@@ -256,18 +276,16 @@ class MonitorBlock(Block):
         self.demand_signals = [f"plant.{j}.torque_cmd" for j in jn]
         self.inputs = tuple(self.pos_signals + self.vel_signals + self.demand_signals)
         self.emit_output_names = ("monitor.violations",)
+        self._positions = _tuple_getter(self.pos_signals)
+        self._velocities = _tuple_getter(self.vel_signals)
+        self._demands = _tuple_getter(self.demand_signals)
         self.reset()
 
     def reset(self) -> None:
         self.violations: list[ViolationRecord] = []
 
     def emit(self, t: float, signals: dict[str, float], rng) -> dict[str, float]:
-        records = monitor(
-            self.joints,
-            [signals[s] for s in self.pos_signals],
-            [signals[s] for s in self.vel_signals],
-            [signals[s] for s in self.demand_signals],
-            t,
-        )
+        records = monitor(self.joints, self._positions(signals), self._velocities(signals),
+                          self._demands(signals), t)
         self.violations.extend(records)
         return {"monitor.violations": float(len(records))}

@@ -213,6 +213,15 @@ def test_sweep_without_seeds_exits_2(tmp_path, capsys):
     assert not (tmp_path / "o").exists()
 
 
+def test_sweep_rejects_repeated_non_finite_or_negative_durations(tmp_path, capsys):
+    scenario = sweep_scenario(tmp_path, t_end=0.3)
+    for durations in ("0.1,0.1", "nan,0.1", "inf,0.1", "0.1,-inf", "-0.1,0.2", "0.1,x"):
+        assert run_cli("sweep", scenario, f"--durations={durations}", "--seeds", "1",
+                       "--jobs", "1", "--out", str(tmp_path / "o"), "--quiet") == 2, durations
+        assert "--durations" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 def test_sweep_env_default_jobs(monkeypatch):
     monkeypatch.setenv("FAULTBENCH_JOBS", "2")
     args = cli.build_parser().parse_args(["sweep", "x.json"])

@@ -2,6 +2,7 @@
 
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 
 from faultbench import experiments as ex
 from faultbench.plant import ViolationKind, ViolationRecord
+from faultbench.scenario import ClockConfig
 
 from conftest import make_scenario, stuck_spec
 
@@ -202,6 +204,53 @@ def test_sweep_requires_increasing_distinct_durations():
         ex.run_sweep(small_plan([0.2, 0.1]))
     with pytest.raises(ValueError):
         ex.run_sweep(small_plan([0.1, 0.1]))
+
+
+@pytest.mark.parametrize("durations", [(math.nan, 0.1), (0.1, math.nan),
+                                       (0.1, math.inf), (-math.inf, 0.1), (-0.1, 0.2)])
+def test_sweep_rejects_repeated_non_finite_or_negative_durations(durations, monkeypatch):
+    monkeypatch.setattr(ex, "simulate", None)  # no cell may run
+    with pytest.raises(ValueError, match="distinct|finite and non-negative"):
+        ex.run_sweep(small_plan(durations))
+
+
+@pytest.mark.parametrize("field, value", [("primary_injector", "missing"),
+                                          ("varied_injectors", ("a_pos", "missing"))])
+def test_sweep_rejects_unknown_injector_names(field, value, monkeypatch):
+    monkeypatch.setattr(ex, "simulate", None)  # no cell may run
+    plan = replace(small_plan([0.05, 0.1]), **{field: value})
+    with pytest.raises(ValueError, match="'missing'"):
+        ex.run_sweep(plan)
+
+
+def spy_simulate(monkeypatch):
+    """Record the monitored signals and the trace columns of every run."""
+    runs = []
+    simulate = ex.simulate
+
+    def spy(cfg, seed=None, faults_enabled=True):
+        out = simulate(cfg, seed=seed, faults_enabled=faults_enabled)
+        runs.append((faults_enabled, cfg.monitors.signals, out.trace.columns))
+        return out
+    monkeypatch.setattr(ex, "simulate", spy)
+    return runs
+
+
+def test_sweep_cells_record_the_four_columns_they_read(monkeypatch):
+    runs = spy_simulate(monkeypatch)
+    cfg = make_scenario(injectors=chained_pair(), t_end=0.5, monitored=("dmp.right_knee.acc",))
+    ex.run_sweep(ex.SweepPlan(scenario=cfg, durations=(0.05, 0.1), seeds_per_duration=2))
+    columns = ("plant.right_knee.pos", "plant.right_knee.vel", "plant.right_knee.torque",
+               "inj.a_pos.trigger")
+    assert runs == [(enabled, columns, columns) for _ in range(4) for enabled in (False, True)]
+
+
+def test_probes_record_no_column(case_study_cfg, monkeypatch):
+    runs = spy_simulate(monkeypatch)
+    cfg = replace(case_study_cfg, clock=ClockConfig(dt_s=1e-3, t_end_s=0.8))
+    ex.run_bitflip_study(cfg, "right_knee", bits=range(52), n_seeds=1)
+    ex.run_small_fault_probes(cfg, "right_knee", n_seeds=1)
+    assert runs == [(True, (), ())] * 3
 
 
 def test_sweep_requires_a_seed_per_duration():

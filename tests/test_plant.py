@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -160,3 +161,119 @@ def test_default_limits_table():
 def test_unknown_joint_kind_rejected():
     with pytest.raises(ValueError):
         plant.default_joint_params("left_elbow")
+
+
+# --------------------------------------------------------------------------
+# engine blocks against the one-joint kernels
+
+
+def step_plant_block(block, targets, dt):
+    """Drive ``block`` through the engine's step order with the given
+    (pos, vel, acc) targets per step; returns the per-step outputs."""
+    rows = []
+    for k, step_targets in enumerate(targets):
+        t = k * dt
+        signals = dict(block.state_outputs(t))
+        for (pos, vel, acc), (y, yd, ydd) in zip(block.target_signals, step_targets):
+            signals[pos], signals[vel], signals[acc] = y, yd, ydd
+        signals.update(block.emit(t, signals, None))
+        rows.append([signals[name] for name in block.output_names])
+        block.advance(t, signals, dt)
+    return np.array(rows)
+
+
+def step_reference_kernels(joints, kp, kd, theta0, targets, dt):
+    """The same run as a loop of ``dynamic_control`` and ``joint_step``."""
+    states = [plant.JointState(theta=th, omega=0.0) for th in theta0]
+    rows = []
+    for step_targets in targets:
+        positions = [v for st in states for v in (st.theta, st.omega)]
+        torques = []
+        for p, st, (y, yd, ydd) in zip(joints, states, step_targets):
+            torques.extend(plant.dynamic_control(y, yd, ydd, st.theta, st.omega,
+                                                 p.inertia, kp, kd, p.max_torque))
+        rows.append(positions + torques)
+        states = [plant.joint_step(p, st, tau_cmd, dt)
+                  for p, st, tau_cmd in zip(joints, states, torques[0::2])]
+    return np.array(rows)
+
+
+def test_plant_block_matches_reference_kernels_bit_for_bit():
+    joints = [plant.default_joint_params(n, damping=0.3 + 0.1 * i)
+              for i, n in enumerate(plant.JOINT_NAMES)]
+    theta0 = [0.1, -0.4, 0.05, 0.2, -0.3, -0.1]
+    dt = 1e-3
+    rng = np.random.default_rng(3)
+    # smooth targets, plus steps large enough to saturate every actuator
+    targets = []
+    for k in range(1500):
+        jump = 2.0 if 300 <= k < 400 or 900 <= k < 950 else 0.0
+        targets.append([(math.sin(1e-3 * k + i) * 0.5 + jump * (-1) ** i,
+                         math.cos(1e-3 * k + i) * 0.5, rng.normal(0.0, 50.0))
+                        for i in range(len(joints))])
+    block = plant.PlantBlock("plant", joints, kp=200.0, kd=20.0, theta0=theta0)
+    got = step_plant_block(block, targets, dt)
+    want = step_reference_kernels(joints, 200.0, 20.0, theta0, targets, dt)
+    assert np.array_equal(got, want)
+    demands = want[:, 2 * len(joints) + 1::2]
+    limits = np.array([p.max_torque for p in joints])
+    assert (np.abs(demands) > limits).any(axis=0).all()  # every joint saturated
+
+    block.reset()  # a second run starts from theta0 again
+    assert np.array_equal(step_plant_block(block, targets, dt), want)
+
+
+def monitor_cases(p):
+    """(theta, omega, tau_demand) probes of one joint's limits."""
+    up, down = math.inf, -math.inf
+    return [
+        (p.rot_min, 0.0, 0.0), (p.rot_max, 0.0, 0.0),          # at the limits
+        (0.5 * (p.rot_min + p.rot_max), p.max_speed, p.max_torque),
+        (0.5 * (p.rot_min + p.rot_max), -p.max_speed, -p.max_torque),
+        (math.nextafter(p.rot_min, down), 0.0, 0.0),           # just past each
+        (math.nextafter(p.rot_max, up), 0.0, 0.0),
+        (p.rot_min, math.nextafter(p.max_speed, up), 0.0),
+        (p.rot_min, math.nextafter(-p.max_speed, down), 0.0),
+        (p.rot_max, 0.0, math.nextafter(p.max_torque, up)),
+        (p.rot_max, 0.0, math.nextafter(-p.max_torque, down)),
+        (p.rot_max + 1.0, -2.0 * p.max_speed, 3.0 * p.max_torque),  # all three kinds
+        (math.nan, math.nan, math.nan),
+        (math.nan, 0.0, 0.0), (0.0, math.nan, 0.0), (p.rot_min, 0.0, math.nan),
+    ]
+
+
+def test_monitor_block_records_what_monitor_returns():
+    joints = joints6()
+    block = plant.MonitorBlock("monitor", joints)
+    probes = [monitor_cases(p) for p in joints]
+    expected = []
+    for k in range(len(probes[0])):
+        t = 0.25 * k
+        step = [probes[i][(k + i) % len(probes[i])] for i in range(len(joints))]
+        signals = {}
+        for p, (theta, omega, tau) in zip(joints, step):
+            signals.update({f"plant.{p.name}.pos": theta, f"plant.{p.name}.vel": omega,
+                            f"plant.{p.name}.torque_cmd": tau})
+        thetas, omegas, demands = (list(column) for column in zip(*step))
+        records = plant.monitor(joints, thetas, omegas, demands, t)
+        assert block.emit(t, signals, None) == {"monitor.violations": float(len(records))}
+        expected.extend(records)
+    assert block.violations == expected
+    kinds = {(r.joint, r.kind) for r in expected}
+    assert len(kinds) == 3 * len(joints)  # every kind on every joint
+
+
+def test_one_joint_monitor_block():
+    p = plant.default_joint_params("right_knee")
+    block = plant.MonitorBlock("monitor", [p])
+    expected = []
+    for k, (theta, omega, tau) in enumerate(monitor_cases(p)):
+        signals = {"plant.right_knee.pos": theta, "plant.right_knee.vel": omega,
+                   "plant.right_knee.torque_cmd": tau}
+        records = plant.monitor([p], [theta], [omega], [tau], float(k))
+        assert block.emit(float(k), signals, None) == {"monitor.violations": float(len(records))}
+        expected.extend(records)
+    assert block.violations == expected
+    # at the limits and NaN inputs: nothing; past one limit: one record each
+    assert [len(plant.monitor([p], [th], [om], [tau], 0.0)) for th, om, tau in monitor_cases(p)] \
+        == [0, 0, 0, 0, 1, 1, 1, 1, 1, 1, 3, 0, 0, 0, 0]
