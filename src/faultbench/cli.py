@@ -40,9 +40,16 @@ def _default_jobs() -> int:
         return 1
 
 
+def _seed(text: str) -> int:
+    seed = int(text)
+    if not 0 <= seed < 2**64:
+        raise argparse.ArgumentTypeError(f"seed must be in 0..2^64-1, got {seed}")
+    return seed
+
+
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=None,
+    common.add_argument("--seed", type=_seed, default=None,
                         help="override the scenario seed (u64)")
     common.add_argument("--out", type=Path, default=Path("out"),
                         help="output directory (default: ./out)")
@@ -80,10 +87,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 def cmd_validate(args) -> int:
     try:
-        _, violations = load_scenario_file(args.scenario)
+        cfg, violations = load_scenario_file(args.scenario)
     except ScenarioParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    if not violations:
+        # what only building the graph finds: a wiring error, an algebraic
+        # loop, or a demo or DMP setting that the fit rejects
+        try:
+            engine.build_graph(cfg)
+        except (engine.WiringError, engine.AlgebraicLoop, ValueError, OverflowError) as exc:
+            violations = [f"block graph: {exc}"]
     if violations:
         for v in violations:
             print(v)
@@ -113,6 +127,9 @@ def cmd_run(args) -> int:
     try:
         out = experiments.simulate(cfg, seed=seed,
                                    faults_enabled=not args.disable_faults)
+    except (engine.WiringError, engine.AlgebraicLoop) as exc:
+        print(f"block graph: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
     except engine.NumericalDivergence as exc:
         print(f"numerical divergence: {exc}", file=sys.stderr)
         return EXIT_DIVERGENCE
@@ -167,6 +184,9 @@ def cmd_sweep(args) -> int:
               f"jobs={args.jobs}", file=sys.stderr)
     try:
         result = experiments.run_sweep(plan, jobs=args.jobs)
+    except (engine.WiringError, engine.AlgebraicLoop) as exc:
+        print(f"block graph: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
     except engine.NumericalDivergence as exc:
         print(f"numerical divergence: {exc}", file=sys.stderr)
         return EXIT_DIVERGENCE

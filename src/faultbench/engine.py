@@ -28,7 +28,7 @@ import numpy as np
 from . import dmp as dmp_mod
 from . import faults as faults_mod
 from . import plant as plant_mod
-from .scenario import ClockConfig, ScenarioConfig, load_demo_csv
+from .scenario import ClockConfig, ScenarioConfig, base_signal_names, load_demo_csv
 
 
 class WiringError(Exception):
@@ -332,22 +332,13 @@ def build_graph(cfg: ScenarioConfig) -> BlockGraph:
         raise WiringError(f"demo has {demo.shape[1]} joint columns, scenario has "
                           f"{len(joint_names)} joints")
 
-    dmp_block = dmp_mod.DmpSystemBlock("dmp", joint_names,
-                                       _dmp_targets(cfg, times, demo, joint_names))
-    plant_block = plant_mod.PlantBlock(
-        "plant", list(cfg.joints), cfg.control.kp, cfg.control.kd,
-        theta0=[float(demo[0, j]) for j in range(len(joint_names))],
-    )
-    monitor_block = plant_mod.MonitorBlock("monitor", list(cfg.joints))
-
     # chain injectors per target signal, in declaration order
     chained_from: dict[str, list[str]] = {}
     for spec in cfg.injectors:
         if spec.chain_to is not None:
             chained_from.setdefault(spec.chain_to, []).append(spec.name)
 
-    base_signals = {sig for b in (dmp_block, plant_block, monitor_block)
-                    for sig in b.output_names}
+    base_signals = set(base_signal_names(joint_names))
     chain_end: dict[str, str] = {}
     injectors = []
     for spec in cfg.injectors:
@@ -360,10 +351,16 @@ def build_graph(cfg: ScenarioConfig) -> BlockGraph:
         chain_end[spec.target_signal] = inj.out_signal
         injectors.append(inj)
 
+    dmp_block = dmp_mod.DmpSystemBlock("dmp", joint_names,
+                                       _dmp_targets(cfg, times, demo, joint_names))
     # controller measurements read the faulted chain ends
-    for i, j in enumerate(joint_names):
-        plant_block.measured_pos[i] = chain_end.get(f"plant.{j}.pos", f"plant.{j}.pos")
-        plant_block.measured_vel[i] = chain_end.get(f"plant.{j}.vel", f"plant.{j}.vel")
+    plant_block = plant_mod.PlantBlock(
+        "plant", list(cfg.joints), cfg.control.kp, cfg.control.kd,
+        theta0=[float(demo[0, j]) for j in range(len(joint_names))],
+        measured_pos=[chain_end.get(f"plant.{j}.pos", f"plant.{j}.pos") for j in joint_names],
+        measured_vel=[chain_end.get(f"plant.{j}.vel", f"plant.{j}.vel") for j in joint_names],
+    )
+    monitor_block = plant_mod.MonitorBlock("monitor", list(cfg.joints))
 
     blocks = [dmp_block, plant_block, monitor_block] + injectors
     return BlockGraph(blocks, monitored=cfg.monitors.signals)

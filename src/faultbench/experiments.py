@@ -305,7 +305,8 @@ def run_sweep(plan: SweepPlan, jobs: int = 1) -> SweepResult:
     if jobs <= 1:
         cells = [_run_cell_args(t) for t in tasks]
     else:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        # the pool starts all its workers up front, so no more than cells
+        with ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
             cells = list(pool.map(_run_cell_args, tasks, chunksize=1))
 
     aggregates = []

@@ -14,6 +14,7 @@ from __future__ import annotations
 import enum
 import math
 import struct
+import sys
 from collections import deque
 from dataclasses import dataclass
 
@@ -238,8 +239,9 @@ class Injector(Block):
         self._steps_left: int | None = 0
         self._scheduled_t: float | None = None
         self._mask = self._fixed_mask or 0
+        # no run has more steps than a deque can hold
         self._dbuf: deque[float] | None = (
-            deque(maxlen=self._delay_steps) if self._delay_steps > 0 else None
+            deque(maxlen=min(self._delay_steps, sys.maxsize)) if self._delay_steps > 0 else None
         )
 
     # -- state machine ------------------------------------------------------
@@ -277,8 +279,10 @@ class Injector(Block):
         return t >= self._scheduled_t - 1e-9 * self.dt
 
     def _activate(self, k: int, rng) -> None:
-        window_s = sample_exposure(self.spec.effect, rng, self.dt)
-        steps = None if math.isinf(window_s) else round(window_s / self.dt)
+        # a window whose step count overflows a float (InfiniteTime's among
+        # them) lasts to the end of the run
+        steps = sample_exposure(self.spec.effect, rng, self.dt) / self.dt
+        steps = None if math.isinf(steps) else round(steps)
         if steps == 0:
             return  # degenerate empty window: stay armed
         self._phase = Phase.ACTIVE
@@ -305,7 +309,8 @@ class Injector(Block):
         if isinstance(ft, Bias):
             return x + ft.offset
         if isinstance(ft, Noise):
-            bound = abs(x) * ft.boundary_pct / 100.0
+            # a bound that overflows is cut to the widest range uniform() takes
+            bound = min(abs(x) * ft.boundary_pct / 100.0, sys.float_info.max / 2)
             y = x + rng.uniform(-bound, bound)
             while abs(y - x) > bound:  # the sum rounded past the bound
                 y = math.nextafter(y, x)

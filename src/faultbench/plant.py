@@ -177,12 +177,13 @@ class PlantBlock(Block):
     True angle/velocity are state outputs (sensor taps, one-step causal);
     torques are emitted feedthrough from the current targets and
     measurements. ``measured_pos``/``measured_vel`` name the signals the
-    controller reads, which the graph builder points at the end of any
-    injector chain.
+    controller reads, one per joint: the end of any injector chain on the
+    joint's sensor, by default the raw plant signals.
     """
 
     def __init__(self, name: str, joints: list[JointParams], kp: float, kd: float,
-                 theta0: list[float], target_prefix: str = "dmp"):
+                 theta0: list[float], target_prefix: str = "dmp",
+                 measured_pos=None, measured_vel=None):
         self.name = name
         self.joints = list(joints)
         self.kp = kp
@@ -191,8 +192,10 @@ class PlantBlock(Block):
         jn = [p.name for p in joints]
         self.target_signals = [(f"{target_prefix}.{j}.pos", f"{target_prefix}.{j}.vel",
                                 f"{target_prefix}.{j}.acc") for j in jn]
-        self.measured_pos = [f"plant.{j}.pos" for j in jn]
-        self.measured_vel = [f"plant.{j}.vel" for j in jn]
+        self.measured_pos = tuple(measured_pos or (f"plant.{j}.pos" for j in jn))
+        self.measured_vel = tuple(measured_vel or (f"plant.{j}.vel" for j in jn))
+        self.inputs = (tuple(sig for triple in self.target_signals for sig in triple)
+                       + self.measured_pos + self.measured_vel)
         self.state_output_names = tuple(
             f"plant.{j}.{field}" for j in jn for field in ("pos", "vel")
         )
@@ -200,21 +203,16 @@ class PlantBlock(Block):
             f"plant.{j}.{field}" for j in jn for field in ("torque", "torque_cmd")
         )
         self.torque_signals = [f"plant.{j}.torque" for j in jn]
-        self.torque_cmd_signals = [f"plant.{j}.torque_cmd" for j in jn]
         self._state_pairs = tuple(zip(self.state_output_names[0::2],
                                       self.state_output_names[1::2]))
+        self._control_rows = tuple(
+            (*targets, meas_pos, meas_vel, p.inertia, p.max_torque,
+             f"plant.{p.name}.torque", f"plant.{p.name}.torque_cmd")
+            for p, targets, meas_pos, meas_vel in zip(
+                self.joints, self.target_signals, self.measured_pos, self.measured_vel))
         self._dynamics = tuple((sig, p.damping, p.inertia)
                                for sig, p in zip(self.torque_signals, self.joints))
         self.reset()
-
-    @property
-    def inputs(self) -> tuple[str, ...]:
-        names = []
-        for triple in self.target_signals:
-            names.extend(triple)
-        names.extend(self.measured_pos)
-        names.extend(self.measured_vel)
-        return tuple(names)
 
     def reset(self) -> None:
         self.thetas = list(self.theta0)
@@ -229,16 +227,13 @@ class PlantBlock(Block):
 
     def emit(self, t: float, signals: dict[str, float], rng) -> dict[str, float]:
         out = {}
-        for p, (pos_sig, vel_sig, acc_sig), meas_pos, meas_vel, torque, torque_cmd in zip(
-                self.joints, self.target_signals, self.measured_pos, self.measured_vel,
-                self.torque_signals, self.torque_cmd_signals):
-            tau_cmd, demand = dynamic_control(
-                signals[pos_sig], signals[vel_sig], signals[acc_sig],
-                signals[meas_pos], signals[meas_vel],
-                p.inertia, self.kp, self.kd, p.max_torque,
+        kp, kd = self.kp, self.kd
+        for pos, vel, acc, meas_pos, meas_vel, inertia, max_torque, torque, torque_cmd \
+                in self._control_rows:
+            out[torque], out[torque_cmd] = dynamic_control(
+                signals[pos], signals[vel], signals[acc], signals[meas_pos], signals[meas_vel],
+                inertia, kp, kd, max_torque,
             )
-            out[torque] = tau_cmd
-            out[torque_cmd] = demand
         return out
 
     def advance(self, t: float, signals: dict[str, float], dt: float) -> None:

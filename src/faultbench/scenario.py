@@ -35,7 +35,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import MISSING, dataclass, fields, replace
 from importlib import resources
 from pathlib import Path
 
@@ -122,94 +122,153 @@ def data_path(name: str) -> Path:
 # --------------------------------------------------------------------------
 # parsing
 
+# A float field's rule, worded as its violation states it. Every float must
+# also be finite.
+_RANGES = {
+    "": lambda v: True,
+    "> 0": lambda v: v > 0.0,
+    ">= 0": lambda v: v >= 0.0,
+    "in [0, 1]": lambda v: 0.0 <= v <= 1.0,
+}
 
-def _num(raw: dict, key: str, errs: list[str], ctx: str, default=None):
+# kind -> (dataclass, {field: rule}) for each part of an injector; see
+# ``_num`` for the rules. An absent field takes the dataclass default.
+# ``bit_positions`` is checked with ``n_bits``.
+_FAULT_KINDS = {
+    "fault_type": {
+        "stuck_at": (faults.StuckAt, {}),
+        "package_drop": (faults.PackageDrop, {"replacement": ""}),
+        "bias": (faults.Bias, {"offset": ""}),
+        "noise": (faults.Noise, {"boundary_pct": ">= 0"}),
+        "time_delay": (faults.TimeDelay, {"delay": "> 0"}),
+        "bit_flip": (faults.BitFlip, {"n_bits": (1, 64)}),
+    },
+    "event": {
+        "failure_probability": (faults.FailureProbability, {"p": "in [0, 1]"}),
+        "mean_time_to_failure": (faults.MeanTimeToFailure, {"mttf": "> 0", "sigma": ">= 0"}),
+    },
+    "effect": {
+        "once": (faults.Once, {}),
+        "constant_time": (faults.ConstantTime, {"duration": ">= 0"}),
+        "infinite_time": (faults.InfiniteTime, {}),
+        "mean_time_to_repair": (faults.MeanTimeToRepair, {"mttr": "> 0", "sigma": ">= 0"}),
+    },
+}
+
+# JSON key -> (JointParams field, unit factor, rule); absent keys keep the
+# joint kind's defaults
+_JOINT_FIELDS = (
+    ("inertia_kgm2", "inertia", 1.0, "> 0"),
+    ("damping_nms", "damping", 1.0, ">= 0"),
+    ("rot_min_deg", "rot_min", plant.DEG, ""),
+    ("rot_max_deg", "rot_max", plant.DEG, ""),
+    ("max_torque_nm", "max_torque", 1.0, "> 0"),
+    ("max_speed_rpm", "max_speed_rpm", 1.0, "> 0"),
+)
+
+
+def _num(raw: dict, key: str, errs: list[str], ctx: str, rule="", default=MISSING):
+    """``raw[key]`` checked against ``rule``, or ``default`` if the field is
+    absent.
+
+    A float rule is a key of ``_RANGES``, an int rule a range ``(lo, hi)``
+    (``hi`` None: no upper bound). A missing required field, a value of the
+    wrong type, a non-finite float (NaN, ±inf, or an int too large for a
+    float) and a value out of range each append a violation and give None.
+    """
     if key not in raw:
-        if default is None:
+        if default is MISSING:
             errs.append(f"{ctx}: missing required field '{key}'")
-            return 0.0
+            return None
         return default
     v = raw[key]
+    if isinstance(rule, tuple):
+        lo, hi = rule
+        if isinstance(v, int) and not isinstance(v, bool) and lo <= v \
+                and (hi is None or v <= hi):
+            return v
+        errs.append(f"{ctx}: {key} must be an integer "
+                    + (f">= {lo}" if hi is None else f"in {lo}..{hi}"))
+        return None
     if isinstance(v, bool) or not isinstance(v, (int, float)):
-        errs.append(f"{ctx}: field '{key}' must be a number, got {v!r}")
-        return 0.0
-    return float(v)
+        errs.append(f"{ctx}: {key} must be a number, got {v!r}")
+        return None
+    try:
+        v = float(v)
+    except OverflowError:
+        v = math.inf
+    if not math.isfinite(v):
+        errs.append(f"{ctx}: {key} must be finite")
+    elif not _RANGES[rule](v):
+        errs.append(f"{ctx}: {key} must be {rule}")
+    else:
+        return v
+    return None
 
 
-def _parse_fault_type(raw, errs, ctx) -> faults.FaultType:
+def _obj(raw, errs: list[str], ctx: str) -> dict:
+    if isinstance(raw, dict):
+        return raw
+    errs.append(f"{ctx}: must be an object")
+    return {}
+
+
+def _build(cls, rules: dict, raw: dict, errs: list[str], ctx: str, **fixed):
+    """``cls`` from the fields of ``raw`` that ``rules`` names, each checked
+    against its rule, plus the ``fixed`` fields."""
+    defaults = {f.name: f.default for f in fields(cls)}
+    return cls(**{key: _num(raw, key, errs, ctx, rule, defaults[key])
+                  for key, rule in rules.items()}, **fixed)
+
+
+def _parse_kind(part: str, raw, errs: list[str], ctx: str):
+    """An injector's ``part`` ("fault_type", "event" or "effect"); None if
+    its kind is unknown."""
+    raw = _obj(raw, errs, ctx)
     kind = raw.get("kind")
-    if kind == "stuck_at":
-        return faults.StuckAt()
-    if kind == "package_drop":
-        return faults.PackageDrop(replacement=_num(raw, "replacement", errs, ctx))
-    if kind == "bias":
-        return faults.Bias(offset=_num(raw, "offset", errs, ctx))
-    if kind == "noise":
-        return faults.Noise(boundary_pct=_num(raw, "boundary_pct", errs, ctx))
-    if kind == "time_delay":
-        return faults.TimeDelay(delay=_num(raw, "delay", errs, ctx))
-    if kind == "bit_flip":
-        n_bits = raw.get("n_bits")
-        if not isinstance(n_bits, int) or isinstance(n_bits, bool):
-            errs.append(f"{ctx}: 'n_bits' must be an integer")
-            n_bits = 1
-        positions = raw.get("bit_positions", "random")
-        if positions != "random":
-            if not isinstance(positions, list) or not all(
-                    isinstance(b, int) and not isinstance(b, bool) for b in positions):
-                errs.append(f"{ctx}: 'bit_positions' must be \"random\" or a list of integers")
-                positions = "random"
-            else:
-                positions = tuple(positions)
-        return faults.BitFlip(n_bits=n_bits, bit_positions=positions)
-    errs.append(f"{ctx}: unknown fault_type kind {kind!r}")
-    return faults.StuckAt()
+    cls, rules = _FAULT_KINDS[part].get(kind if isinstance(kind, str) else "", (None, None))
+    if cls is None:
+        errs.append(f"{ctx}: unknown {part} kind {kind!r}")
+        return None
+    value = _build(cls, rules, raw, errs, ctx)
+    if cls is faults.BitFlip:
+        value = replace(value, bit_positions=_bit_positions(raw, value.n_bits, errs, ctx))
+    return value
 
 
-def _parse_event(raw, errs, ctx) -> faults.FaultEvent:
-    kind = raw.get("kind")
-    if kind == "failure_probability":
-        return faults.FailureProbability(p=_num(raw, "p", errs, ctx))
-    if kind == "mean_time_to_failure":
-        return faults.MeanTimeToFailure(mttf=_num(raw, "mttf", errs, ctx),
-                                        sigma=_num(raw, "sigma", errs, ctx, default=0.0))
-    errs.append(f"{ctx}: unknown event kind {kind!r}")
-    return faults.FailureProbability(p=0.0)
-
-
-def _parse_effect(raw, errs, ctx) -> faults.FaultEffect:
-    kind = raw.get("kind")
-    if kind == "once":
-        return faults.Once()
-    if kind == "constant_time":
-        return faults.ConstantTime(duration=_num(raw, "duration", errs, ctx))
-    if kind == "infinite_time":
-        return faults.InfiniteTime()
-    if kind == "mean_time_to_repair":
-        return faults.MeanTimeToRepair(mttr=_num(raw, "mttr", errs, ctx),
-                                       sigma=_num(raw, "sigma", errs, ctx, default=0.0))
-    errs.append(f"{ctx}: unknown effect kind {kind!r}")
-    return faults.InfiniteTime()
+def _bit_positions(raw: dict, n_bits: int | None, errs: list[str], ctx: str):
+    """``"random"``, or ``n_bits`` distinct bit indices as a tuple."""
+    positions = raw.get("bit_positions", "random")
+    if positions == "random":
+        return positions
+    if not isinstance(positions, list):
+        errs.append(f"{ctx}: bit_positions must be \"random\" or a list of integers")
+        return None
+    items = {f"bit_positions[{i}]": b for i, b in enumerate(positions)}
+    positions = tuple(_num(items, key, errs, ctx, (0, 63)) for key in items)
+    if n_bits is not None and len(positions) != n_bits:
+        errs.append(f"{ctx}: bit_positions length must equal n_bits")
+    if None not in positions and len(set(positions)) != len(positions):
+        errs.append(f"{ctx}: bit_positions must be distinct")
+    return positions
 
 
 def _parse_joint(raw, errs, i) -> plant.JointParams | None:
     ctx = f"joints[{i}]"
+    raw = _obj(raw, errs, ctx)
     name = raw.get("name")
     if name not in plant.JOINT_NAMES:
         errs.append(f"{ctx}: name must be one of {', '.join(plant.JOINT_NAMES)}; got {name!r}")
         return None
     overrides = {}
-    for key, attr, conv in (
-        ("inertia_kgm2", "inertia", 1.0),
-        ("damping_nms", "damping", 1.0),
-        ("rot_min_deg", "rot_min", plant.DEG),
-        ("rot_max_deg", "rot_max", plant.DEG),
-        ("max_torque_nm", "max_torque", 1.0),
-        ("max_speed_rpm", "max_speed_rpm", 1.0),
-    ):
+    for key, attr, unit, rule in _JOINT_FIELDS:
         if key in raw:
-            overrides[attr] = _num(raw, key, errs, ctx) * conv
-    return plant.default_joint_params(name, **overrides)
+            v = _num(raw, key, errs, ctx, rule)
+            overrides[attr] = None if v is None else v * unit
+    p = plant.default_joint_params(name, **overrides)
+    if None not in (p.rot_min, p.rot_max) and not p.rot_min < p.rot_max:
+        errs.append(f"{ctx}: rot_min_deg must be < rot_max_deg")
+    return p
 
 
 def parse_scenario(raw: dict, base_dir: Path) -> tuple[ScenarioConfig, list[str]]:
@@ -222,13 +281,21 @@ def parse_scenario(raw: dict, base_dir: Path) -> tuple[ScenarioConfig, list[str]
         if key not in known:
             errs.append(f"unknown top-level field {key!r}")
 
-    craw = raw.get("clock", {})
-    clock = ClockConfig(dt_s=_num(craw, "dt_s", errs, "clock", default=1e-3),
-                        t_end_s=_num(craw, "t_end_s", errs, "clock", default=7.0))
-    if clock.dt_s <= 0:
-        errs.append("clock: dt_s must be > 0")
-    if clock.t_end_s < 0:
-        errs.append("clock: t_end_s must be >= 0")
+    draw = _obj(raw.get("dmp", {}), errs, "dmp")
+    demo_file = draw.get("demo_file", DmpConfig.demo_file)
+    if not isinstance(demo_file, str):
+        errs.append("dmp: demo_file must be a file name")
+        demo_file = DmpConfig.demo_file
+    clock = _build(ClockConfig, {"dt_s": "> 0", "t_end_s": ">= 0"},
+                   _obj(raw.get("clock", {}), errs, "clock"), errs, "clock")
+    dmp_cfg = _build(DmpConfig, {"alpha_z": "> 0", "beta_z": "", "alpha_s": "> 0",
+                                 "n_basis": (1, None)}, draw, errs, "dmp", demo_file=demo_file)
+    control = _build(ControlConfig, {"kp": ">= 0", "kd": ">= 0"},
+                     _obj(raw.get("control", {}), errs, "control"), errs, "control")
+    if None not in (dmp_cfg.beta_z, dmp_cfg.alpha_z) and not math.isclose(
+            dmp_cfg.beta_z, dmp_cfg.alpha_z / 4.0, rel_tol=1e-9, abs_tol=1e-12):
+        errs.append("dmp: beta_z must equal alpha_z / 4 (critical damping constraint); "
+                    f"got beta_z={dmp_cfg.beta_z}, alpha_z/4={dmp_cfg.alpha_z / 4.0}")
 
     jraw = raw.get("joints")
     if jraw is None:
@@ -244,43 +311,6 @@ def parse_scenario(raw: dict, base_dir: Path) -> tuple[ScenarioConfig, list[str]
             errs.append("joints: names must be unique")
         if not joints:
             joints = tuple(plant.default_joint_params(n) for n in plant.JOINT_NAMES)
-    for p in joints:
-        if p.inertia <= 0:
-            errs.append(f"joints[{p.name}]: inertia_kgm2 must be > 0")
-        if p.damping < 0:
-            errs.append(f"joints[{p.name}]: damping_nms must be >= 0")
-        if not p.rot_min < p.rot_max:
-            errs.append(f"joints[{p.name}]: rot_min_deg must be < rot_max_deg")
-        if p.max_torque <= 0:
-            errs.append(f"joints[{p.name}]: max_torque_nm must be > 0")
-        if p.max_speed_rpm <= 0:
-            errs.append(f"joints[{p.name}]: max_speed_rpm must be > 0")
-
-    draw = raw.get("dmp", {})
-    dmp_cfg = DmpConfig(
-        alpha_z=_num(draw, "alpha_z", errs, "dmp", default=25.0),
-        beta_z=(None if "beta_z" not in draw else _num(draw, "beta_z", errs, "dmp")),
-        alpha_s=_num(draw, "alpha_s", errs, "dmp", default=4.6),
-        n_basis=draw.get("n_basis", 50),
-        demo_file=draw.get("demo_file", "demo_gait.csv"),
-    )
-    if dmp_cfg.alpha_z <= 0:
-        errs.append("dmp: alpha_z must be > 0")
-    if dmp_cfg.beta_z is not None and not math.isclose(
-            dmp_cfg.beta_z, dmp_cfg.alpha_z / 4.0, rel_tol=1e-9, abs_tol=1e-12):
-        errs.append("dmp: beta_z must equal alpha_z / 4 (critical damping constraint); "
-                    f"got beta_z={dmp_cfg.beta_z}, alpha_z/4={dmp_cfg.alpha_z / 4.0}")
-    if dmp_cfg.alpha_s <= 0:
-        errs.append("dmp: alpha_s must be > 0")
-    if not isinstance(dmp_cfg.n_basis, int) or isinstance(dmp_cfg.n_basis, bool) \
-            or dmp_cfg.n_basis < 1:
-        errs.append("dmp: n_basis must be a positive integer")
-
-    crw = raw.get("control", {})
-    control = ControlConfig(kp=_num(crw, "kp", errs, "control", default=200.0),
-                            kd=_num(crw, "kd", errs, "control", default=20.0))
-    if control.kp < 0 or control.kd < 0:
-        errs.append("control: kp and kd must be >= 0")
 
     injectors = _parse_injectors(raw.get("injectors", []), errs, joints, clock)
 
@@ -302,10 +332,7 @@ def parse_scenario(raw: dict, base_dir: Path) -> tuple[ScenarioConfig, list[str]
                 errs.append(f"monitors: signal {s!r} listed more than once")
     monitors = MonitorConfig(signals=None if mon_signals is None else tuple(mon_signals))
 
-    seed = raw.get("seed", 0)
-    if not isinstance(seed, int) or isinstance(seed, bool) or not 0 <= seed < 2**64:
-        errs.append("seed: must be an integer in [0, 2^64)")
-        seed = 0
+    seed = _num(raw, "seed", errs, "scenario", (0, 2**64 - 1), default=0)
 
     demo_path = _resolve_demo(dmp_cfg.demo_file, base_dir)
     if demo_path is None:
@@ -344,9 +371,8 @@ def _parse_injectors(raw, errs, joints, clock) -> tuple[faults.FaultSpec, ...]:
         if not isinstance(target, str):
             errs.append(f"{ctx}: missing target_signal")
             target = ""
-        ft = _parse_fault_type(item.get("fault_type", {}), errs, f"{ctx}.fault_type")
-        ev = _parse_event(item.get("event", {}), errs, f"{ctx}.event")
-        ef = _parse_effect(item.get("effect", {}), errs, f"{ctx}.effect")
+        ft, ev, ef = (_parse_kind(part, item.get(part, {}), errs, f"{ctx}.{part}")
+                      for part in _FAULT_KINDS)
         enabled = item.get("enabled", True)
         if not isinstance(enabled, bool):
             errs.append(f"{ctx}: enabled must be a boolean")
@@ -372,48 +398,13 @@ def _parse_injectors(raw, errs, joints, clock) -> tuple[faults.FaultSpec, ...]:
                 errs.append(f"{ctx}: chained to itself")
             elif s.chain_to not in names:
                 errs.append(f"{ctx}: chain_to {s.chain_to!r} names no injector")
-        errs.extend(_check_fault_params(s, clock.dt_s, ctx))
+        # a value that is a violation already is None, and skips the check
+        ft = s.fault_type
+        if isinstance(ft, faults.TimeDelay) and None not in (ft.delay, clock.dt_s):
+            steps = ft.delay / clock.dt_s
+            if not (math.isfinite(steps) and abs(steps - round(steps)) <= 1e-6):
+                errs.append(f"{ctx}: delay must be a multiple of dt_s ({clock.dt_s})")
     return tuple(specs)
-
-
-def _check_fault_params(spec: faults.FaultSpec, dt: float, ctx: str) -> list[str]:
-    errs = []
-    ft = spec.fault_type
-    if isinstance(ft, faults.Noise) and ft.boundary_pct < 0:
-        errs.append(f"{ctx}: noise boundary_pct must be >= 0")
-    if isinstance(ft, faults.TimeDelay):
-        if ft.delay <= 0:
-            errs.append(f"{ctx}: time_delay delay must be > 0")
-        elif abs(ft.delay / dt - round(ft.delay / dt)) > 1e-6:
-            errs.append(f"{ctx}: time_delay delay must be a multiple of dt_s ({dt})")
-    if isinstance(ft, faults.BitFlip):
-        if not 1 <= ft.n_bits <= 64:
-            errs.append(f"{ctx}: bit_flip n_bits must be in 1..64")
-        if ft.bit_positions != "random":
-            pos = ft.bit_positions
-            if len(pos) != ft.n_bits:
-                errs.append(f"{ctx}: bit_positions length must equal n_bits")
-            if len(set(pos)) != len(pos):
-                errs.append(f"{ctx}: bit_positions must be distinct")
-            if any(not 0 <= b <= 63 for b in pos):
-                errs.append(f"{ctx}: bit_positions must be in 0..63")
-    ev = spec.event
-    if isinstance(ev, faults.FailureProbability) and not 0.0 <= ev.p <= 1.0:
-        errs.append(f"{ctx}: failure_probability p must be in [0, 1]")
-    if isinstance(ev, faults.MeanTimeToFailure):
-        if ev.mttf <= 0:
-            errs.append(f"{ctx}: mttf must be > 0")
-        if ev.sigma < 0:
-            errs.append(f"{ctx}: event sigma must be >= 0")
-    ef = spec.effect
-    if isinstance(ef, faults.ConstantTime) and ef.duration < 0:
-        errs.append(f"{ctx}: constant_time duration must be >= 0")
-    if isinstance(ef, faults.MeanTimeToRepair):
-        if ef.mttr <= 0:
-            errs.append(f"{ctx}: mttr must be > 0")
-        if ef.sigma < 0:
-            errs.append(f"{ctx}: effect sigma must be >= 0")
-    return errs
 
 
 def _resolve_demo(demo_file: str, base_dir: Path) -> Path | None:

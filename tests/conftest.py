@@ -1,3 +1,7 @@
+import copy
+import json
+import math
+
 import pytest
 
 from faultbench import faults
@@ -41,3 +45,50 @@ def case_study_cfg():
 @pytest.fixture(scope="session")
 def minimal_cfg():
     return load_scenario(data_path("minimal.json"))
+
+
+NAN, INF = math.nan, math.inf
+NOISE = {"fault_type": {"kind": "noise", "boundary_pct": 5.0}}
+DELAY = {"fault_type": {"kind": "time_delay", "delay": 0.002}}
+MTTF = {"event": {"kind": "mean_time_to_failure", "mttf": 1.0}}
+BIAS = {"fault_type": {"kind": "bias", "offset": 0.0}}
+# (field path, value, parts that replace those of the first case-study
+# injector): each value once crashed `validate`, `run` or `sweep`, or was
+# accepted although not finite
+BAD_NUMBER_CASES = [
+    pytest.param(("injectors", 0, "fault_type", "delay"), NAN, DELAY, id="delay=nan"),
+    pytest.param(("injectors", 0, "fault_type", "delay"), INF, DELAY, id="delay=inf"),
+    pytest.param(("control", "kp"), 10**400, {}, id="kp=10**400"),
+    pytest.param(("clock", "dt_s"), NAN, {}, id="dt_s=nan"),
+    pytest.param(("clock", "dt_s"), INF, {}, id="dt_s=inf"),
+    pytest.param(("clock", "dt_s"), NAN, DELAY, id="dt_s=nan-with-delay"),
+    pytest.param(("clock", "t_end_s"), NAN, {}, id="t_end_s=nan"),
+    pytest.param(("clock", "t_end_s"), INF, {}, id="t_end_s=inf"),
+    pytest.param(("dmp", "alpha_s"), NAN, {}, id="alpha_s=nan"),
+    pytest.param(("dmp", "alpha_s"), INF, {}, id="alpha_s=inf"),
+    pytest.param(("injectors", 0, "fault_type", "boundary_pct"), NAN, NOISE,
+                 id="boundary_pct=nan"),
+    pytest.param(("injectors", 0, "fault_type", "boundary_pct"), INF, NOISE,
+                 id="boundary_pct=inf"),
+    pytest.param(("injectors", 0, "effect", "duration"), NAN, {}, id="duration=nan"),
+    pytest.param(("joints", 4, "max_torque_nm"), INF, {}, id="max_torque_nm=inf"),
+    pytest.param(("injectors", 0, "event", "mttf"), INF, MTTF, id="mttf=inf"),
+    pytest.param(("injectors", 0, "fault_type", "offset"), -INF, BIAS, id="offset=-inf"),
+    pytest.param(("dmp", "alpha_z"), 2**1024, {}, id="alpha_z=2**1024"),
+]
+
+
+def write_bad_number_case(tmp_path, where, value, parts):
+    """The case study, 0.3 s long with its first injector firing on every
+    step, with ``parts`` in that injector and ``value`` at ``where``."""
+    raw = json.loads(data_path("case_study.json").read_text())
+    raw["clock"]["t_end_s"] = 0.3
+    raw["injectors"][0]["event"]["p"] = 1.0
+    raw["injectors"][0].update(copy.deepcopy(parts))
+    node = raw
+    for key in where[:-1]:
+        node = node[key]
+    node[where[-1]] = value
+    path = tmp_path / "bad_number.json"
+    path.write_text(json.dumps(raw))
+    return path

@@ -1,12 +1,22 @@
 """Exit codes, emitted files, and determinism of the command-line interface."""
 
+import contextlib
 import hashlib
+import io
 import json
+import math
+import tempfile
 from pathlib import Path
 
-from faultbench import cli
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from faultbench import cli, plant
 from faultbench.engine import TraceLog
-from faultbench.scenario import data_path
+from faultbench.scenario import base_signal_names, data_path
+
+from conftest import BAD_NUMBER_CASES, write_bad_number_case
 
 
 CASE_STUDY = str(data_path("case_study.json"))
@@ -52,6 +62,33 @@ def test_validate_duplicate_monitor_signal_exits_1(tmp_path, capsys):
     assert run_cli("validate", str(p)) == 1
     assert "listed more than once" in capsys.readouterr().out
     assert run_cli("run", str(p), "--out", str(tmp_path / "out"), "--quiet") == 2
+
+
+def test_validate_reports_an_algebraic_loop(tmp_path, capsys):
+    raw = json.loads(data_path("case_study.json").read_text())
+    first, second = raw["injectors"]
+    del first["chain_to"]
+    # the second injector reads the first one's output and triggers it
+    second.update(target_signal=first["target_signal"], chain_to=first["name"])
+    p = tmp_path / "loop.json"
+    p.write_text(json.dumps(raw))
+    assert run_cli("validate", str(p)) == 1
+    assert "algebraic loop" in capsys.readouterr().out
+    assert run_cli("run", str(p), "--out", str(tmp_path / "out"), "--quiet") == 2
+    assert run_cli("sweep", str(p), "--durations", "0.05", "--seeds", "1", "--jobs", "1",
+                   "--out", str(tmp_path / "out"), "--quiet") == 2
+    assert "algebraic loop" in capsys.readouterr().err
+
+
+def test_validate_reports_a_demo_the_fit_rejects(tmp_path, capsys):
+    times = [0.001 * k + (0.0005 if k >= 100 else 0.0) for k in range(200)]
+    (tmp_path / "uneven.csv").write_text(
+        "t,joint_0\n" + "".join(f"{t:.9g},{0.1 * t:.9g}\n" for t in times))
+    p = tmp_path / "uneven.json"
+    p.write_text(json.dumps({"clock": {"t_end_s": 0.05}, "joints": [{"name": "right_knee"}],
+                             "dmp": {"demo_file": "uneven.csv"}}))
+    assert run_cli("validate", str(p)) == 1
+    assert "uniformly sampled" in capsys.readouterr().out
 
 
 def test_validate_parse_error_exits_2(tmp_path):
@@ -123,6 +160,30 @@ def test_run_without_monitored_signals_writes_the_time_column(tmp_path, capsys):
     trace = TraceLog.from_csv(tmp_path / "out" / "trace.csv")
     assert trace.columns == ()
     assert trace.data.shape == (3, 0)
+
+
+@pytest.mark.parametrize("where, value, parts", BAD_NUMBER_CASES)
+def test_non_finite_number_exits_1_from_validate_and_2_from_run_and_sweep(
+        tmp_path, capsys, where, value, parts):
+    path = str(write_bad_number_case(tmp_path, where, value, parts))
+    assert run_cli("validate", path) == 1
+    assert f"{where[-1]} must be finite" in capsys.readouterr().out
+    out = str(tmp_path / "out")
+    assert run_cli("run", path, "--out", out, "--quiet") == 2
+    assert run_cli("sweep", path, "--durations", "0.05,0.1", "--seeds", "1", "--jobs", "1",
+                   "--out", out, "--quiet") == 2
+    assert f"{where[-1]} must be finite" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["run", "sweep"])
+def test_seed_outside_u64_exits_2(tmp_path, capsys, command):
+    for seed in ("-1", str(2**64)):
+        with pytest.raises(SystemExit) as exc_info:
+            run_cli(command, MINIMAL, "--seed", seed, "--out", str(tmp_path / "o"), "--quiet")
+        assert exc_info.value.code == 2
+        assert "seed must be in 0..2^64-1" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
 
 
 def test_run_invalid_scenario_exits_2(tmp_path):
@@ -240,3 +301,129 @@ def test_sweep_divergent_cell_exits_5(tmp_path, capsys):
     code = run_cli("sweep", str(p), "--durations", "0.05,0.1", "--seeds", "1",
                    "--jobs", "1", "--out", str(tmp_path / "o"), "--quiet")
     assert code == 5
+
+
+# --------------------------------------------------------------------------
+# validate OK means run and sweep finish
+
+
+# no scenario number may be NaN or ±inf, and -1 and 0 are out of range for
+# some fields
+BAD_NUMBERS = (math.nan, math.inf, -math.inf, -1.0, 0.0)
+# an int that overflows a float is bad for a float field; the other extremes
+# are valid, and a run with them may diverge (exit 5)
+EXTREME_NUMBERS = (10**400, 2**70, 1e308, -1e308, 5e-324)
+
+
+def floats(lo=None, hi=None):
+    return st.floats(lo, hi, allow_nan=False, allow_infinity=False)
+
+
+JOINT_OVERRIDES = st.fixed_dictionaries({}, optional={
+    "inertia_kgm2": floats(0.0).filter(bool), "damping_nms": floats(0.0),
+    "rot_min_deg": floats(-180.0, 0.0), "rot_max_deg": floats(0.0, 180.0),
+    "max_torque_nm": floats(0.0).filter(bool), "max_speed_rpm": floats(0.0).filter(bool)})
+
+
+@st.composite
+def fault_parts(draw, dt):
+    kind = draw(st.sampled_from(["stuck_at", "package_drop", "bias", "noise", "time_delay",
+                                 "bit_flip"]))
+    fault_type = {"kind": kind}
+    if kind == "package_drop":
+        fault_type["replacement"] = draw(floats())
+    elif kind == "bias":
+        fault_type["offset"] = draw(floats())
+    elif kind == "noise":
+        fault_type["boundary_pct"] = draw(floats(0.0))
+    elif kind == "time_delay":
+        fault_type["delay"] = dt * draw(st.one_of(st.integers(1, 60), st.integers(1, 2**70)))
+    elif kind == "bit_flip":
+        n_bits = draw(st.integers(1, 64))
+        fault_type["n_bits"] = n_bits
+        if draw(st.booleans()):
+            fault_type["bit_positions"] = draw(st.lists(st.integers(0, 63), min_size=n_bits,
+                                                        max_size=n_bits, unique=True))
+    if draw(st.booleans()):
+        event = {"kind": "failure_probability", "p": draw(floats(0.0, 1.0))}
+    else:
+        event = {"kind": "mean_time_to_failure", "mttf": draw(floats(0.0).filter(bool))}
+        if draw(st.booleans()):
+            event["sigma"] = draw(floats(0.0))
+    kind = draw(st.sampled_from(["once", "constant_time", "constant_time", "infinite_time",
+                                 "mean_time_to_repair"]))
+    effect = {"kind": kind}
+    if kind == "constant_time":
+        effect["duration"] = draw(floats(0.0))
+    elif kind == "mean_time_to_repair":
+        effect["mttr"] = draw(floats(0.0).filter(bool))
+        if draw(st.booleans()):
+            effect["sigma"] = draw(floats(0.0))
+    return fault_type, event, effect
+
+
+@st.composite
+def short_scenarios(draw):
+    """A scenario of at most 50 steps: every fault type, event and effect on
+    ``dmp.*`` and ``plant.*`` signals, chains, restricted monitors, and up to
+    two numbers replaced by a bad or extreme value."""
+    six = draw(st.booleans())
+    joints = list(plant.JOINT_NAMES) if six else ["right_knee"]
+    dt = draw(st.sampled_from([1e-3, 2e-3, 5e-3]))
+    raw = {
+        "clock": {"dt_s": dt, "t_end_s": draw(floats(0.0, 0.05))},
+        "joints": [{"name": j, **draw(JOINT_OVERRIDES)} for j in joints],
+        "dmp": {"alpha_z": 25.0, "alpha_s": 4.6, "n_basis": draw(st.integers(1, 60)),
+                "demo_file": "demo_gait.csv" if six else "demo_minimal.csv"},
+        "control": {"kp": 200.0, "kd": 20.0},
+        "seed": draw(st.integers(0, 2**64 - 1)),
+    }
+    signals = base_signal_names(joints)
+    names = [f"inj{k}" for k in range(draw(st.integers(0, 3)))]
+    raw["injectors"] = []
+    for name in names:
+        fault_type, event, effect = draw(fault_parts(dt))
+        raw["injectors"].append({
+            "name": name, "target_signal": draw(st.sampled_from(signals)),
+            "fault_type": fault_type, "event": event, "effect": effect,
+            "enabled": draw(st.sampled_from([True, True, False])),
+            "chain_to": draw(st.one_of(st.none(), st.sampled_from(names))),
+        })
+    if draw(st.booleans()):
+        produced = signals + [f"inj.{n}.{end}" for n in names for end in ("out", "trigger")]
+        raw["monitors"] = {"signals": draw(st.lists(st.sampled_from(produced), unique=True))}
+
+    sections = [raw, raw["clock"], raw["dmp"], raw["control"], *raw["joints"]]
+    sections += [inj[part] for inj in raw["injectors"] for part in ("fault_type", "event", "effect")]
+    numbers = [(section, key) for section in sections for key, value in section.items()
+               if type(value) in (int, float)]
+    for _ in range(draw(st.integers(0, 2))):
+        section, key = draw(st.sampled_from(numbers))
+        # an extreme clock or n_basis asks for arrays too large to allocate,
+        # which stays open on the ROADMAP
+        extreme = () if section is raw["clock"] or key == "n_basis" else EXTREME_NUMBERS
+        section[key] = draw(st.sampled_from(BAD_NUMBERS + extreme))
+    return raw
+
+
+def quiet_cli(*argv):
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        return run_cli(*argv)
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(short_scenarios())
+def test_valid_scenarios_run_and_sweep(raw):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "scenario.json"
+        path.write_text(json.dumps(raw))
+        valid = quiet_cli("validate", str(path))
+        assert valid in (0, 1)
+        run = quiet_cli("run", str(path), "--out", str(Path(tmp) / "run"), "--quiet")
+        sweep = quiet_cli("sweep", str(path), "--durations", "0.01,0.02", "--seeds", "1",
+                          "--jobs", "1", "--out", str(Path(tmp) / "sweep"), "--quiet")
+    if valid == 0:
+        assert run in (0, 3, 4, 5)
+        assert sweep in (0, 2, 5)
+    else:
+        assert run == sweep == 2

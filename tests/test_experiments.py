@@ -164,6 +164,27 @@ def test_sweep_jobs_equivalence(tmp_path):
     assert s1.read_bytes() == s2.read_bytes()
 
 
+def test_sweep_starts_no_more_workers_than_cells(monkeypatch):
+    asked = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            asked.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks, chunksize=1):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(ex, "ProcessPoolExecutor", SerialPool)
+    ex.run_sweep(small_plan([0.05], seeds=2, t_end=0.1), jobs=4)
+    assert asked == [2]
+
+
 def test_sweep_cell_seed_paired_across_durations():
     # same seed slot -> same first activation step across durations
     plan = small_plan([0.05, 0.1], seeds=1, t_end=2.0)

@@ -2,6 +2,7 @@
 
 import math
 import struct
+import sys
 
 import numpy as np
 from hypothesis import example, given, settings
@@ -86,6 +87,13 @@ def test_noise_boundedness(x, pct, seed):
         assert abs(y - x) <= bound
 
 
+def test_noise_bound_that_overflows_is_cut_to_half_the_float_range():
+    inj = make_injector(faults.Noise(boundary_pct=1e308))
+    outs, _ = drive(inj, [100.0] * 5, triggers=[True] * 5)
+    assert all(abs(y - 100.0) <= sys.float_info.max / 2 for y in outs)
+    assert len(set(outs)) == 5
+
+
 def test_time_delay_holds_then_replays():
     delay = 3 * DT
     inj = make_injector(faults.TimeDelay(delay=delay))
@@ -98,6 +106,12 @@ def test_time_delay_holds_then_replays():
     assert outs[4:7] == [3.0, 3.0, 3.0]
     # replay phase: x(k - 3)
     assert outs[7:] == [4.0, 5.0, 6.0]
+
+
+def test_time_delay_longer_than_any_run_holds():
+    inj = make_injector(faults.TimeDelay(delay=1e20))  # 1e23 steps
+    outs, _ = drive(inj, [1.0, 2.0, 3.0, 4.0], triggers=[False, True, False, False])
+    assert outs == [1.0, 1.0, 1.0, 1.0]
 
 
 def test_bit_flip_sign_bit():
@@ -183,6 +197,13 @@ def test_constant_time_window_exact_length():
         outs, _ = drive(inj, [0.0] * n, triggers=[True] + [False] * (n - 1))
         assert sum(1 for y in outs if y != 0.0) == duration_steps
         assert all(y == 1.0 for y in outs[:duration_steps])
+
+
+def test_window_too_long_to_count_lasts_to_the_end():
+    for effect in (faults.ConstantTime(1e308), faults.MeanTimeToRepair(mttr=1e308)):
+        inj = make_injector(faults.Bias(offset=1.0), effect=effect)
+        outs, trigs = drive(inj, [0.0] * 5, triggers=[True] + [False] * 4)
+        assert outs == [1.0] * 5 and all(trigs)
 
 
 def test_once_single_sample_never_rearms():

@@ -223,6 +223,21 @@ def test_plant_block_matches_reference_kernels_bit_for_bit():
     assert np.array_equal(step_plant_block(block, targets, dt), want)
 
 
+def test_plant_block_controller_reads_the_measured_signals_it_is_given():
+    p = plant.default_joint_params("right_knee")
+    block = plant.PlantBlock("plant", [p], kp=200.0, kd=20.0, theta0=[0.0],
+                             measured_pos=["inj.a.out"], measured_vel=["inj.b.out"])
+    targets = ("dmp.right_knee.pos", "dmp.right_knee.vel", "dmp.right_knee.acc")
+    assert block.inputs == targets + ("inj.a.out", "inj.b.out")
+    signals = dict(zip(targets, (0.1, 0.2, 30.0)))
+    signals.update({"inj.a.out": -0.05, "inj.b.out": 0.4,
+                    "plant.right_knee.pos": 9.0, "plant.right_knee.vel": 9.0})
+    tau_cmd, demand = plant.dynamic_control(0.1, 0.2, 30.0, -0.05, 0.4, p.inertia,
+                                            200.0, 20.0, p.max_torque)
+    assert block.emit(0.0, signals, None) == {"plant.right_knee.torque": tau_cmd,
+                                              "plant.right_knee.torque_cmd": demand}
+
+
 def monitor_cases(p):
     """(theta, omega, tau_demand) probes of one joint's limits."""
     up, down = math.inf, -math.inf

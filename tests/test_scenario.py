@@ -8,6 +8,8 @@ from faultbench import faults
 from faultbench.scenario import (ScenarioError, ScenarioParseError, data_path,
                                  load_scenario, load_scenario_file)
 
+from conftest import BAD_NUMBER_CASES, write_bad_number_case
+
 
 def write(tmp_path, obj, name="scenario.json"):
     p = tmp_path / name
@@ -103,6 +105,13 @@ def test_fault_parameter_violations_collected(tmp_path):
     assert "p must be in [0, 1]" in joined
     assert "mttr must be > 0" in joined
     assert "sigma must be >= 0" in joined
+
+
+@pytest.mark.parametrize("where, value, parts", BAD_NUMBER_CASES)
+def test_non_finite_number_is_one_violation_naming_its_field(tmp_path, where, value, parts):
+    _, violations = load_scenario_file(write_bad_number_case(tmp_path, where, value, parts))
+    assert len(violations) == 1
+    assert f"{where[-1]} must be finite" in violations[0]
 
 
 def test_bit_flip_position_validation(tmp_path):
