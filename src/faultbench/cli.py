@@ -25,6 +25,11 @@ EXIT_ERROR = 3
 EXIT_FAILURE = 4
 EXIT_DIVERGENCE = 5
 
+# What building or starting the block graph raises on a scenario that
+# cannot run: a wiring error, an algebraic loop, a demo or DMP setting that
+# the fit rejects, or a step count too large to allocate
+GRAPH_ERRORS = (engine.WiringError, engine.AlgebraicLoop, ValueError, OverflowError)
+
 CLASS_EXIT = {
     Classification.NOMINAL: EXIT_OK,
     Classification.ERROR: EXIT_ERROR,
@@ -92,11 +97,9 @@ def cmd_validate(args) -> int:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     if not violations:
-        # what only building the graph finds: a wiring error, an algebraic
-        # loop, or a demo or DMP setting that the fit rejects
         try:
             engine.build_graph(cfg)
-        except (engine.WiringError, engine.AlgebraicLoop, ValueError, OverflowError) as exc:
+        except GRAPH_ERRORS as exc:
             violations = [f"block graph: {exc}"]
     if violations:
         for v in violations:
@@ -127,7 +130,7 @@ def cmd_run(args) -> int:
     try:
         out = experiments.simulate(cfg, seed=seed,
                                    faults_enabled=not args.disable_faults)
-    except (engine.WiringError, engine.AlgebraicLoop) as exc:
+    except GRAPH_ERRORS as exc:
         print(f"block graph: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except engine.NumericalDivergence as exc:
@@ -184,7 +187,7 @@ def cmd_sweep(args) -> int:
               f"jobs={args.jobs}", file=sys.stderr)
     try:
         result = experiments.run_sweep(plan, jobs=args.jobs)
-    except (engine.WiringError, engine.AlgebraicLoop) as exc:
+    except GRAPH_ERRORS as exc:
         print(f"block graph: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except engine.NumericalDivergence as exc:

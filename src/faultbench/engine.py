@@ -153,7 +153,6 @@ class BlockGraph:
             for sig in b.inputs:
                 if sig not in producers:
                     raise WiringError(f"block {b.name!r} reads unknown signal {sig!r}")
-        self.producers = producers
 
         all_signals = [sig for b in self.blocks for sig in b.output_names]
         if monitored is None:
@@ -218,15 +217,6 @@ class BlockGraph:
             if b.name == name:
                 return b
         raise KeyError(name)
-
-    @property
-    def wires(self) -> list[tuple[str, str, str]]:
-        """(source_block, signal, sink_block) for every connection."""
-        out = []
-        for b in self.blocks:
-            for sig in b.inputs:
-                out.append((self.producers[sig], sig, b.name))
-        return out
 
 
 def _block_seed(run_seed: int, block_name: str) -> np.random.SeedSequence:

@@ -11,10 +11,12 @@ Root-mean-square error between a cell's faulty run and the reference on the
 faulted joint (angle, angular velocity, applied torque) quantifies the fault
 impact; the safety monitor of the faulty run classifies the cell as Nominal,
 Error, or Failure. Whatever the scenario's ``monitors`` list says, both runs
-of a cell record exactly the four columns the cell reads: the faulted joint's
-angle, angular velocity and applied torque, and the primary injector's
-trigger line. A bit-flip or small-fault probe reads only the violations and
-records no column.
+of a cell record exactly the three columns the cell reads: the faulted
+joint's angle, angular velocity and applied torque. The cell's activation
+windows come from the primary injector's activation log, with a window that
+starts on the step after the previous one ends merged into it, as the
+injector's trigger line shows them. A bit-flip or small-fault probe reads
+only the violations and records no column.
 
 Cells are independent jobs with a deterministic seed mapping, so results are
 identical regardless of the parallelism degree. Seeds are shared across
@@ -105,6 +107,8 @@ class RunOutput:
     trace: engine.TraceLog
     violations: tuple[ViolationRecord, ...]
     classification: Classification
+    # injector name -> its (step, steps) activation log, see faults.Injector
+    activations: dict[str, tuple[tuple[int, int | None], ...]]
 
 
 def simulate(cfg: ScenarioConfig, seed: int | None = None,
@@ -115,8 +119,10 @@ def simulate(cfg: ScenarioConfig, seed: int | None = None,
     graph = engine.build_graph(cfg)
     trace = engine.run(graph, cfg.clock, cfg.seed if seed is None else seed)
     violations = tuple(graph.block("monitor").violations)
+    activations = {b.spec.name: tuple(b.activations) for b in graph.blocks
+                   if isinstance(b, faults.Injector)}
     return RunOutput(trace=trace, violations=violations,
-                     classification=classify_run(violations))
+                     classification=classify_run(violations), activations=activations)
 
 
 # --------------------------------------------------------------------------
@@ -130,7 +136,7 @@ class SweepPlan:
     seeds_per_duration: int = 20
     base_seed: int = 0
     varied_injectors: tuple[str, ...] | None = None  # None = all constant-time ones
-    primary_injector: str | None = None  # whose trigger defines activation windows
+    primary_injector: str | None = None  # whose activation log defines the windows
     gap_threshold_s: float = 0.5  # below this inter-activation gap a run is "consecutive"
 
     def resolved_varied(self) -> tuple[str, ...]:
@@ -206,26 +212,14 @@ def cell_seed(base_seed: int, seed_index: int) -> int:
     return int(ss.generate_state(1, np.uint64)[0])
 
 
-def _activation_windows(trace: engine.TraceLog, trigger_signal: str,
-                        dt: float) -> tuple[int, float | None]:
-    """Number of activation windows and the minimum gap between them [s]."""
-    if trigger_signal not in trace.columns or len(trace) == 0:
-        return 0, None
-    active = trace.signal(trigger_signal) >= 0.5
-    starts, ends = [], []
-    prev = False
-    for k, a in enumerate(active):
-        if a and not prev:
-            starts.append(k)
-        if not a and prev:
-            ends.append(k - 1)
-        prev = a
-    if prev:
-        ends.append(len(active) - 1)
-    if len(starts) < 2:
-        return len(starts), None
-    gaps = [(starts[i + 1] - ends[i] - 1) * dt for i in range(len(starts) - 1)]
-    return len(starts), min(gaps)
+def _activation_windows(activations, dt: float) -> tuple[int, float | None]:
+    """Number of activation windows in an injector's ``(step, steps)`` log
+    and the minimum gap between them [s]. An activation that starts on the
+    step after the previous one ends extends its window, as the trigger line
+    shows it."""
+    gaps = [nxt - start - steps for (start, steps), (nxt, _) in zip(activations, activations[1:])
+            if nxt != start + steps]
+    return (len(gaps) + 1 if activations else 0), (min(gaps) * dt if gaps else None)
 
 
 def _joint_signals(joint: str) -> tuple[str, ...]:
@@ -248,7 +242,7 @@ def _run_cell(cfg: ScenarioConfig, varied: tuple[str, ...], primary: str,
         raise engine.NumericalDivergence(exc.t, exc.block, exc.signal, exc.value,
                                          cell=(duration, seed_index)) from None
 
-    n_act, min_gap = _activation_windows(out.trace, f"inj.{primary}.trigger", cfg.clock.dt_s)
+    n_act, min_gap = _activation_windows(out.activations[primary], cfg.clock.dt_s)
     rmse_pos, rmse_vel, rmse_torque = map(rmse, _joint_columns(out.trace, joint),
                                           _joint_columns(reference.trace, joint))
     return CellResult(
@@ -297,8 +291,7 @@ def run_sweep(plan: SweepPlan, jobs: int = 1) -> SweepResult:
             raise ValueError(f"sweep names injector {name!r}, which the scenario "
                              f"does not have")
     joint = plan.metric_joint()
-    cfg = replace(plan.scenario, monitors=MonitorConfig(
-        signals=_joint_signals(joint) + (f"inj.{primary}.trigger",)))
+    cfg = replace(plan.scenario, monitors=MonitorConfig(signals=_joint_signals(joint)))
 
     tasks = [(cfg, varied, primary, joint, d, si, plan.base_seed)
              for d in durations for si in range(plan.seeds_per_duration)]

@@ -209,6 +209,11 @@ class Injector(Block):
     ``trigger_sources`` are the trigger-output signal names of upstream
     injectors chained into this one; any of them being true forces
     activation while armed.
+
+    ``activations`` logs one ``(step, steps)`` entry per activation of the
+    current run: the first step of the window and its length in steps,
+    ``None`` when it lasts to the end of the run. A zero-length window is
+    no activation and leaves no entry.
     """
 
     def __init__(self, spec: FaultSpec, dt: float, in_signal: str,
@@ -243,6 +248,7 @@ class Injector(Block):
         self._dbuf: deque[float] | None = (
             deque(maxlen=min(self._delay_steps, sys.maxsize)) if self._delay_steps > 0 else None
         )
+        self.activations: list[tuple[int, int | None]] = []
 
     # -- state machine ------------------------------------------------------
 
@@ -288,6 +294,7 @@ class Injector(Block):
         self._phase = Phase.ACTIVE
         self._act_step = k
         self._steps_left = steps
+        self.activations.append((k, steps))
         ft = self.spec.fault_type
         if isinstance(ft, BitFlip) and self._fixed_mask is None:
             positions = rng.choice(64, size=ft.n_bits, replace=False)

@@ -80,15 +80,51 @@ def test_validate_reports_an_algebraic_loop(tmp_path, capsys):
     assert "algebraic loop" in capsys.readouterr().err
 
 
-def test_validate_reports_a_demo_the_fit_rejects(tmp_path, capsys):
+def write_uneven_demo(tmp_path):
+    """A one-joint demo whose second half is shifted by half a step."""
     times = [0.001 * k + (0.0005 if k >= 100 else 0.0) for k in range(200)]
     (tmp_path / "uneven.csv").write_text(
         "t,joint_0\n" + "".join(f"{t:.9g},{0.1 * t:.9g}\n" for t in times))
+
+
+def test_validate_reports_a_demo_the_fit_rejects(tmp_path, capsys):
+    write_uneven_demo(tmp_path)
     p = tmp_path / "uneven.json"
     p.write_text(json.dumps({"clock": {"t_end_s": 0.05}, "joints": [{"name": "right_knee"}],
                              "dmp": {"demo_file": "uneven.csv"}}))
     assert run_cli("validate", str(p)) == 1
     assert "uniformly sampled" in capsys.readouterr().out
+
+
+# the first three the DMP fit rejects, so `validate` does too; the last
+# validates, and its step count is too large to allocate
+@pytest.mark.parametrize("section, key, value, validate_code, message", [
+    pytest.param("dmp", "demo_file", "uneven.csv", 1, "uniformly sampled", id="uneven-demo"),
+    pytest.param("dmp", "n_basis", 2**70, 1, "Maximum allowed size", id="n_basis=2**70"),
+    pytest.param("clock", "dt_s", 5e-324, 1, "infinity", id="dt_s=5e-324"),
+    pytest.param("clock", "t_end_s", 1e300, 0, "Maximum allowed dimension", id="t_end_s=1e300"),
+])
+def test_scenario_the_graph_cannot_take_exits_2_from_run_and_sweep(
+        tmp_path, capsys, section, key, value, validate_code, message):
+    write_uneven_demo(tmp_path)
+    raw = json.loads(data_path("minimal.json").read_text())
+    raw["clock"]["t_end_s"] = 0.05
+    raw["injectors"] = [{"name": "stuck", "target_signal": "plant.right_knee.pos",
+                         "fault_type": {"kind": "stuck_at"},
+                         "event": {"kind": "failure_probability", "p": 0.5},
+                         "effect": {"kind": "constant_time", "duration": 0.005}}]
+    raw[section][key] = value
+    p = tmp_path / "unrunnable.json"
+    p.write_text(json.dumps(raw))
+    assert run_cli("validate", str(p)) == validate_code
+    capsys.readouterr()
+    out = str(tmp_path / "out")
+    assert run_cli("run", str(p), "--out", out, "--quiet") == 2
+    assert run_cli("sweep", str(p), "--durations", "0.005", "--seeds", "1", "--jobs", "1",
+                   "--out", out, "--quiet") == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 2 and all(message in line for line in err)
+    assert not (tmp_path / "out").exists()
 
 
 def test_validate_parse_error_exits_2(tmp_path):

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from faultbench import experiments as ex
 from faultbench.plant import ViolationKind, ViolationRecord
-from faultbench.scenario import ClockConfig
+from faultbench.scenario import ClockConfig, MonitorConfig
 
 from conftest import make_scenario, stuck_spec
 
@@ -257,12 +257,11 @@ def spy_simulate(monkeypatch):
     return runs
 
 
-def test_sweep_cells_record_the_four_columns_they_read(monkeypatch):
+def test_sweep_cells_record_the_three_columns_they_read(monkeypatch):
     runs = spy_simulate(monkeypatch)
     cfg = make_scenario(injectors=chained_pair(), t_end=0.5, monitored=("dmp.right_knee.acc",))
     ex.run_sweep(ex.SweepPlan(scenario=cfg, durations=(0.05, 0.1), seeds_per_duration=2))
-    columns = ("plant.right_knee.pos", "plant.right_knee.vel", "plant.right_knee.torque",
-               "inj.a_pos.trigger")
+    columns = ("plant.right_knee.pos", "plant.right_knee.vel", "plant.right_knee.torque")
     assert runs == [(enabled, columns, columns) for _ in range(4) for enabled in (False, True)]
 
 
@@ -304,14 +303,71 @@ def test_presets_match_declared_grids():
     assert np.allclose(steps_fine, 0.05) and np.allclose(steps_coarse, 0.25)
 
 
-def test_activation_window_extraction_helpers():
-    from faultbench.engine import TraceLog
-    trig = np.array([0, 1, 1, 0, 0, 0, 1, 0, 0, 1], dtype=float)
-    trace = TraceLog(columns=("inj.a.trigger",), t=np.arange(10) * 0.1,
-                     data=trig.reshape(-1, 1))
-    n, gap = ex._activation_windows(trace, "inj.a.trigger", 0.1)
+def test_activation_windows_from_a_log():
+    # the log of the trigger line [0, 1, 1, 0, 0, 0, 1, 0, 0, 1]
+    n, gap = ex._activation_windows([(1, 2), (6, 1), (9, 1)], 0.1)
     assert n == 3
     assert gap == pytest.approx(0.2)  # two inactive steps between windows 2 and 3
+    # a window that starts where the last one ends extends it
+    assert ex._activation_windows([(0, 3), (3, 3), (10, None)], 0.5) == (2, 2.0)
+    assert ex._activation_windows([(4, None)], 0.1) == (1, None)
+    assert ex._activation_windows([], 0.1) == (0, None)
+
+
+def trigger_windows(active, dt):
+    """Windows and their minimum gap as the trigger line shows them: the
+    reference that the activation log must reproduce."""
+    starts, ends = [], []
+    prev = False
+    for k, a in enumerate(active):
+        if a and not prev:
+            starts.append(k)
+        if not a and prev:
+            ends.append(k - 1)
+        prev = a
+    if prev:
+        ends.append(len(active) - 1)
+    if len(starts) < 2:
+        return len(starts), None
+    return len(starts), min((starts[i + 1] - ends[i] - 1) * dt
+                            for i in range(len(starts) - 1))
+
+
+def check_log_against_trigger(cfg, name, seed):
+    """Run ``cfg`` recording injector ``name``'s trigger line; its log must
+    cover exactly the active steps and give the line's windows. Returns the
+    log."""
+    cfg = replace(cfg, monitors=MonitorConfig(signals=(f"inj.{name}.trigger",)))
+    out = ex.simulate(cfg, seed=seed)
+    active = out.trace.signal(f"inj.{name}.trigger") >= 0.5
+    log = out.activations[name]
+    logged = np.zeros(len(active), dtype=bool)
+    for start, steps in log:
+        logged[start:None if steps is None else start + steps] = True
+    assert np.array_equal(logged, active)
+    dt = cfg.clock.dt_s
+    assert ex._activation_windows(log, dt) == trigger_windows(active, dt)
+    return log
+
+
+@pytest.mark.parametrize("seed", [0, 1, 18])
+def test_activation_log_matches_the_trigger_line(case_study_cfg, seed):
+    check_log_against_trigger(case_study_cfg, "knee_pos_stuck", seed)
+
+
+def test_touching_activations_make_one_window():
+    # p = 1 re-activates on the step after each 3-step window ends, so the
+    # trigger line is all ones
+    cfg = make_scenario(injectors=[stuck_spec(p=1.0, duration=0.003)], t_end=0.05)
+    log = check_log_against_trigger(cfg, "stuck", 0)
+    assert len(log) == 17
+    assert ex._activation_windows(log, cfg.clock.dt_s) == (1, None)
+
+
+def test_chained_injectors_log_in_lockstep(case_study_cfg):
+    out = ex.simulate(case_study_cfg, seed=0)
+    assert out.activations["knee_pos_stuck"]
+    assert out.activations["knee_pos_stuck"] == out.activations["knee_vel_freeze"]
 
 
 def test_reference_run_is_fault_free(case_study_cfg):

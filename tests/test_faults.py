@@ -166,6 +166,7 @@ def test_identity_when_disabled(xs, seed):
     outs, trigs = drive(inj, xs, seed=seed)
     assert outs == [float(x) for x in xs]
     assert not any(trigs)
+    assert inj.activations == []
 
 
 @given(xs=st.lists(st.floats(-1e9, 1e9), min_size=1, max_size=50))
@@ -183,6 +184,9 @@ def test_identity_between_exposures():
     outs, trigs = drive(inj, inputs, triggers)
     assert outs == [1.0, 11.0, 11.0, 1.0, 1.0, 11.0, 11.0, 1.0, 1.0]
     assert trigs == [False, True, True, False, False, True, True, False, False]
+    assert inj.activations == [(1, 2), (5, 2)]  # (first step, length in steps)
+    inj.reset()
+    assert inj.activations == []
 
 
 # --------------------------------------------------------------------------
@@ -213,6 +217,7 @@ def test_once_single_sample_never_rearms():
     assert outs[0] == 1.0
     assert outs[1:] == [0.0] * 9  # expired despite p = 1
     assert trigs == [True] + [False] * 9
+    assert inj.activations == [(0, 1)]
 
 
 def test_infinite_time_until_end():
@@ -221,6 +226,7 @@ def test_infinite_time_until_end():
     assert outs[0] == 0.0
     assert outs[1:] == [1.0] * 19
     assert all(trigs[1:])
+    assert inj.activations == [(1, None)]
 
 
 def test_rearming_after_constant_time():
@@ -229,6 +235,7 @@ def test_rearming_after_constant_time():
     outs, _ = drive(inj, [0.0] * 9)
     # p = 1: re-activates on the first armed step after each window
     assert outs == [1.0] * 9
+    assert inj.activations == [(0, 3), (3, 3), (6, 3)]
 
 
 def test_zero_duration_window_is_a_no_op():
@@ -237,6 +244,7 @@ def test_zero_duration_window_is_a_no_op():
     outs, trigs = drive(inj, [5.0] * 10)
     assert outs == [5.0] * 10
     assert not any(trigs)
+    assert inj.activations == []  # an empty window is no activation
 
 
 # --------------------------------------------------------------------------
