@@ -21,6 +21,23 @@ REGIONS = {
 }
 
 
+def outcome_counts(outcomes) -> dict:
+    """Runs per classification, with diverged runs counted on their own."""
+    counts = {"Nominal": 0, "Error": 0, "Failure": 0, "diverged": 0}
+    for o in outcomes:
+        counts["diverged" if o.diverged else o.classification.value] += 1
+    return counts
+
+
+def studies(cfg, joint: str, n_seeds: int):
+    """(name, outcomes) of each bit region's flips, then of each small-fault
+    probe kind, one study at a time."""
+    for region, bits in REGIONS.items():
+        yield region, ex.run_bitflip_study(cfg, joint, bits=bits, n_seeds=n_seeds,
+                                           base_seed=42)
+    yield from ex.run_small_fault_probes(cfg, joint, n_seeds=n_seeds, base_seed=43).items()
+
+
 def main() -> None:
     ap = argparse.ArgumentParser()
     ap.add_argument("--seeds", type=int, default=100)
@@ -30,28 +47,9 @@ def main() -> None:
 
     cfg = load_scenario(data_path("case_study.json"))
     report = {}
-    for region, bits in REGIONS.items():
-        outcomes = ex.run_bitflip_study(cfg, args.joint, bits=bits,
-                                        n_seeds=args.seeds, base_seed=42)
-        counts = {"Nominal": 0, "Error": 0, "Failure": 0, "diverged": 0}
-        for o in outcomes:
-            if o.diverged:
-                counts["diverged"] += 1
-            else:
-                counts[o.classification.value] += 1
-        report[region] = counts
-        print(f"{region:9s} ({args.seeds} runs): {counts}")
-
-    small = ex.run_small_fault_probes(cfg, args.joint, n_seeds=args.seeds, base_seed=43)
-    for kind, outcomes in small.items():
-        counts = {"Nominal": 0, "Error": 0, "Failure": 0, "diverged": 0}
-        for o in outcomes:
-            if o.diverged:
-                counts["diverged"] += 1
-            else:
-                counts[o.classification.value] += 1
-        report[kind] = counts
-        print(f"{kind:9s} ({args.seeds} runs): {counts}")
+    for name, outcomes in studies(cfg, args.joint, args.seeds):
+        report[name] = outcome_counts(outcomes)
+        print(f"{name:9s} ({args.seeds} runs): {report[name]}")
 
     args.out.parent.mkdir(parents=True, exist_ok=True)
     args.out.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")

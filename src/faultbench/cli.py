@@ -198,13 +198,14 @@ def cmd_sweep(args) -> int:
     experiments.write_results_csv(result, args.out / "sweep_results.csv")
     experiments.write_summary_json(result, args.out / "sweep_summary.json")
 
-    fit = result.fits.get("rmse_pos_rad")
+    aggregates = result.summary["aggregates"]
+    fit = result.summary["fit"].get("rmse_pos_rad")
     svg = svgplot.render_sweep_plot(
-        [a.duration_s for a in result.aggregates],
-        [a.mean["rmse_pos_rad"] for a in result.aggregates],
-        [a.min["rmse_pos_rad"] for a in result.aggregates],
-        [a.max["rmse_pos_rad"] for a in result.aggregates],
-        (fit.a, fit.b, fit.c) if fit else None,
+        [a["duration_s"] for a in aggregates],
+        [a["mean"]["rmse_pos_rad"] for a in aggregates],
+        [a["min"]["rmse_pos_rad"] for a in aggregates],
+        [a["max"]["rmse_pos_rad"] for a in aggregates],
+        (fit["a"], fit["b"], fit["c"]) if fit else None,
         title="Joint angle deviation vs fault duration",
         xlabel="fault duration [s]",
         ylabel="position RMSE [rad]",
@@ -212,11 +213,12 @@ def cmd_sweep(args) -> int:
     (args.out / "rmse_plot.svg").write_text(svg)
 
     if not args.quiet:
-        for agg in result.aggregates:
-            print(f"  d={agg.duration_s:g}s mean_pos_rmse="
-                  f"{agg.mean['rmse_pos_rad']:.4f} rad failures="
-                  f"{agg.counts['Failure']}/{sum(agg.counts.values())}", file=sys.stderr)
-        d_star = result.d_star_s
+        for agg in aggregates:
+            counts = agg["classifications"]
+            print(f"  d={agg['duration_s']:g}s mean_pos_rmse="
+                  f"{agg['mean']['rmse_pos_rad']:.4f} rad failures="
+                  f"{counts['Failure']}/{sum(counts.values())}", file=sys.stderr)
+        d_star = result.summary["d_star_s"]
         print(f"  failure threshold d*: "
               f"{'not crossed' if d_star is None else f'{d_star:g} s'}", file=sys.stderr)
     return EXIT_OK

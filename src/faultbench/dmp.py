@@ -153,15 +153,21 @@ def learn_weights(times: np.ndarray, positions: np.ndarray,
                       DegenerateDemo)
         return replace(params, weights=np.zeros_like(params.weights))
 
-    # target forcing from the inverse transformation system
-    f_target = tau**2 * acc - params.alpha_z * (params.beta_z * (g - positions) - tau * vel)
-    s = np.exp(-params.alpha_s * (times - times[0]) / tau)
-    gate = s * (g - y0)
+    # target forcing from the inverse transformation system; an overflow
+    # here shows as a non-finite weight, which is rejected below
+    with np.errstate(over="ignore", invalid="ignore"):
+        f_target = tau**2 * acc - params.alpha_z * (params.beta_z * (g - positions)
+                                                    - tau * vel)
+        s = np.exp(-params.alpha_s * (times - times[0]) / tau)
+        gate = s * (g - y0)
 
-    psi = np.exp(-params.widths[:, None] * (s[None, :] - params.centers[:, None]) ** 2)
-    num = psi @ (gate * f_target)
-    den = psi @ (gate * gate)
-    weights = np.divide(num, den, out=np.zeros_like(num), where=np.abs(den) > 1e-300)
+        psi = np.exp(-params.widths[:, None] * (s[None, :] - params.centers[:, None]) ** 2)
+        num = psi @ (gate * f_target)
+        den = psi @ (gate * gate)
+        weights = np.divide(num, den, out=np.zeros_like(num), where=np.abs(den) > 1e-300)
+    if not np.all(np.isfinite(weights)):
+        raise ValueError("DMP fit gives non-finite forcing weights "
+                         "(alpha_z or the demonstration too large)")
     return replace(params, weights=weights)
 
 

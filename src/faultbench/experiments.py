@@ -22,6 +22,8 @@ Cells are independent jobs with a deterministic seed mapping, so results are
 identical regardless of the parallelism degree. Seeds are shared across
 durations (cell seed depends on the seed index only), which pairs the fault
 activation pattern across the sweep and sharpens the duration trend.
+A sweep's ``SweepResult.summary`` is exactly the dict ``sweep_summary.json``
+holds, built once by :func:`summarize`.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ import enum
 import json
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -41,6 +43,7 @@ from .scenario import (MonitorConfig, ScenarioConfig, set_faults_enabled,
 
 FINE_DURATIONS = tuple(round(0.05 * (i + 1), 10) for i in range(10))      # 0.05 .. 0.5
 COARSE_DURATIONS = tuple(round(0.5 + 0.25 * i, 10) for i in range(11))    # 0.5 .. 3.0
+GAP_THRESHOLD_S = 0.5  # below this inter-activation gap a run is "consecutive"
 
 
 class LengthMismatch(ValueError):
@@ -135,13 +138,9 @@ class SweepPlan:
     durations: tuple[float, ...]
     seeds_per_duration: int = 20
     base_seed: int = 0
-    varied_injectors: tuple[str, ...] | None = None  # None = all constant-time ones
-    primary_injector: str | None = None  # whose activation log defines the windows
-    gap_threshold_s: float = 0.5  # below this inter-activation gap a run is "consecutive"
 
     def resolved_varied(self) -> tuple[str, ...]:
-        if self.varied_injectors is not None:
-            return self.varied_injectors
+        """Every constant-time injector: the sweep sets their duration."""
         names = tuple(s.name for s in self.scenario.injectors
                       if isinstance(s.effect, faults.ConstantTime))
         if not names:
@@ -149,8 +148,7 @@ class SweepPlan:
         return names
 
     def resolved_primary(self) -> str:
-        if self.primary_injector is not None:
-            return self.primary_injector
+        """The injector whose activation log defines a cell's windows."""
         for s in self.scenario.injectors:
             if s.chain_to is not None:
                 return s.name
@@ -183,27 +181,9 @@ class CellResult:
 
 
 @dataclass(frozen=True)
-class DurationAggregate:
-    duration_s: float
-    mean: dict
-    min: dict
-    max: dict
-    counts: dict
-    failure_fraction: float
-
-
-@dataclass(frozen=True)
 class SweepResult:
-    plan_durations: tuple[float, ...]
-    seeds_per_duration: int
-    base_seed: int
-    gap_threshold_s: float
     cells: tuple[CellResult, ...]
-    aggregates: tuple[DurationAggregate, ...]
-    fits: dict  # metric -> QuadraticFit
-    d_star_s: float | None
-    bin_d_star_s: dict  # "consecutive"/"isolated" -> duration or None
-    bin_counts: dict
+    summary: dict  # exactly what sweep_summary.json holds, see summarize()
 
 
 def cell_seed(base_seed: int, seed_index: int) -> int:
@@ -278,32 +258,34 @@ def run_sweep(plan: SweepPlan, jobs: int = 1) -> SweepResult:
     value produces identical results.
     """
     check_durations(plan.durations)
-    durations = tuple(sorted(plan.durations))
-    if list(durations) != list(plan.durations):
+    if list(plan.durations) != sorted(plan.durations):
         raise ValueError("durations must be strictly increasing")
     if plan.seeds_per_duration < 1:
         raise ValueError("need at least one seed per duration")
     varied = plan.resolved_varied()
     primary = plan.resolved_primary()
-    injectors = {s.name for s in plan.scenario.injectors}
-    for name in (*varied, primary):
-        if name not in injectors:
-            raise ValueError(f"sweep names injector {name!r}, which the scenario "
-                             f"does not have")
     joint = plan.metric_joint()
     cfg = replace(plan.scenario, monitors=MonitorConfig(signals=_joint_signals(joint)))
 
     tasks = [(cfg, varied, primary, joint, d, si, plan.base_seed)
-             for d in durations for si in range(plan.seeds_per_duration)]
+             for d in plan.durations for si in range(plan.seeds_per_duration)]
     if jobs <= 1:
         cells = [_run_cell_args(t) for t in tasks]
     else:
         # the pool starts all its workers up front, so no more than cells
         with ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
             cells = list(pool.map(_run_cell_args, tasks, chunksize=1))
+    return SweepResult(cells=tuple(cells), summary=summarize(plan, cells))
 
+
+def summarize(plan: SweepPlan, cells) -> dict:
+    """The sweep summary under the keys of ``sweep_summary.json``: per
+    duration the RMSE statistics, classification counts and Failure
+    fraction; a quadratic fit per metric over three or more durations; the
+    failure threshold ``d_star_s``; and the same threshold for the runs
+    binned "consecutive" or "isolated" by ``GAP_THRESHOLD_S``."""
     aggregates = []
-    for d in durations:
+    for d in plan.durations:
         group = [c for c in cells if c.duration_s == d]
         metrics = {
             "rmse_pos_rad": [c.rmse_pos for c in group],
@@ -312,59 +294,48 @@ def run_sweep(plan: SweepPlan, jobs: int = 1) -> SweepResult:
         }
         counts = {cls.value: sum(1 for c in group if c.classification is cls)
                   for cls in Classification}
-        aggregates.append(DurationAggregate(
-            duration_s=d,
-            mean={k: float(np.mean(v)) for k, v in metrics.items()},
-            min={k: float(np.min(v)) for k, v in metrics.items()},
-            max={k: float(np.max(v)) for k, v in metrics.items()},
-            counts=counts,
-            failure_fraction=counts[Classification.FAILURE.value] / max(1, len(group)),
-        ))
+        aggregates.append({
+            "duration_s": d,
+            "mean": {k: float(np.mean(v)) for k, v in metrics.items()},
+            "min": {k: float(np.min(v)) for k, v in metrics.items()},
+            "max": {k: float(np.max(v)) for k, v in metrics.items()},
+            "classifications": counts,
+            "failure_fraction": counts[Classification.FAILURE.value] / len(group),
+        })
 
-    fits = {}
-    if len(durations) >= 3:
-        for key in ("rmse_pos_rad", "rmse_vel_rad_s", "rmse_torque_nm"):
-            fits[key] = fit_quadratic(durations, [a.mean[key] for a in aggregates])
+    fit = {}
+    if len(plan.durations) >= 3:
+        for key in aggregates[0]["mean"]:
+            fit[key] = asdict(fit_quadratic(plan.durations,
+                                            [a["mean"][key] for a in aggregates]))
 
-    bins = _bin_runs(cells, plan.gap_threshold_s)
-    bin_d_star = {name: _first_crossing_cells(group, durations)
-                  for name, group in bins.items()}
-    bin_counts = {name: len(group) for name, group in bins.items()}
+    bins = {"consecutive": [], "isolated": []}
+    for c in cells:
+        consecutive = c.min_gap_s is not None and c.min_gap_s < GAP_THRESHOLD_S
+        bins["consecutive" if consecutive else "isolated"].append(c)
 
-    return SweepResult(
-        plan_durations=durations,
-        seeds_per_duration=plan.seeds_per_duration,
-        base_seed=plan.base_seed,
-        gap_threshold_s=plan.gap_threshold_s,
-        cells=tuple(cells),
-        aggregates=tuple(aggregates),
-        fits=fits,
-        d_star_s=_first_crossing_cells(cells, durations),
-        bin_d_star_s=bin_d_star,
-        bin_counts=bin_counts,
-    )
+    return {
+        "base_seed": plan.base_seed,
+        "seeds_per_duration": plan.seeds_per_duration,
+        "durations_s": list(plan.durations),
+        "gap_threshold_s": GAP_THRESHOLD_S,
+        "aggregates": aggregates,
+        "fit": fit,
+        "d_star_s": _first_crossing(cells, plan.durations),
+        "bins": {name: {"d_star_s": _first_crossing(group, plan.durations),
+                        "runs": len(group)}
+                 for name, group in bins.items()},
+    }
 
 
-def _first_crossing_cells(cells, durations) -> float | None:
+def _first_crossing(cells, durations) -> float | None:
+    """The first duration at which half or more of ``cells`` fail."""
     for d in durations:
         group = [c for c in cells if c.duration_s == d]
-        if not group:
-            continue
-        frac = sum(1 for c in group if c.classification is Classification.FAILURE) / len(group)
-        if frac >= 0.5:
+        if group and sum(c.classification is Classification.FAILURE
+                         for c in group) / len(group) >= 0.5:
             return d
     return None
-
-
-def _bin_runs(cells, gap_threshold_s: float) -> dict:
-    consecutive, isolated = [], []
-    for c in cells:
-        if c.n_activations >= 2 and c.min_gap_s is not None \
-                and c.min_gap_s < gap_threshold_s:
-            consecutive.append(c)
-        else:
-            isolated.append(c)
-    return {"consecutive": consecutive, "isolated": isolated}
 
 
 # --------------------------------------------------------------------------
@@ -400,45 +371,10 @@ def read_results_csv(path) -> list[dict]:
     return rows
 
 
-def summary_dict(result: SweepResult) -> dict:
-    return {
-        "base_seed": result.base_seed,
-        "seeds_per_duration": result.seeds_per_duration,
-        "durations_s": list(result.plan_durations),
-        "gap_threshold_s": result.gap_threshold_s,
-        "aggregates": [
-            {
-                "duration_s": a.duration_s,
-                "mean": a.mean,
-                "min": a.min,
-                "max": a.max,
-                "classifications": a.counts,
-                "failure_fraction": a.failure_fraction,
-            }
-            for a in result.aggregates
-        ],
-        "fit": {
-            key: {"a": f.a, "b": f.b, "c": f.c, "residual": f.residual}
-            for key, f in result.fits.items()
-        },
-        "d_star_s": result.d_star_s,
-        "bins": {
-            name: {"d_star_s": result.bin_d_star_s[name],
-                   "runs": result.bin_counts[name]}
-            for name in sorted(result.bin_d_star_s)
-        },
-    }
-
-
 def write_summary_json(result: SweepResult, path) -> None:
     with open(path, "w") as fh:
-        json.dump(summary_dict(result), fh, indent=2, sort_keys=True)
+        json.dump(result.summary, fh, indent=2, sort_keys=True)
         fh.write("\n")
-
-
-def read_summary_json(path) -> dict:
-    with open(path) as fh:
-        return json.load(fh)
 
 
 def write_violations_csv(violations, path) -> None:

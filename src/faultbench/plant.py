@@ -182,16 +182,14 @@ class PlantBlock(Block):
     """
 
     def __init__(self, name: str, joints: list[JointParams], kp: float, kd: float,
-                 theta0: list[float], target_prefix: str = "dmp",
-                 measured_pos=None, measured_vel=None):
+                 theta0: list[float], measured_pos=None, measured_vel=None):
         self.name = name
         self.joints = list(joints)
         self.kp = kp
         self.kd = kd
         self.theta0 = list(theta0)
         jn = [p.name for p in joints]
-        self.target_signals = [(f"{target_prefix}.{j}.pos", f"{target_prefix}.{j}.vel",
-                                f"{target_prefix}.{j}.acc") for j in jn]
+        self.target_signals = [(f"dmp.{j}.pos", f"dmp.{j}.vel", f"dmp.{j}.acc") for j in jn]
         self.measured_pos = tuple(measured_pos or (f"plant.{j}.pos" for j in jn))
         self.measured_vel = tuple(measured_vel or (f"plant.{j}.vel" for j in jn))
         self.inputs = (tuple(sig for triple in self.target_signals for sig in triple)

@@ -235,24 +235,25 @@ def test_criterion_5_fine_sweep_trend(fine_sweep):
     result, elapsed = fine_sweep
     with criterion(5, "fine sweep trend"):
         assert elapsed < 600.0, f"sweep took {elapsed:.0f}s, budget 600s"
-        means = [a.mean["rmse_pos_rad"] for a in result.aggregates]
+        means = [a["mean"]["rmse_pos_rad"] for a in result.summary["aggregates"]]
         inversions = sum(1 for i in range(len(means) - 1) if means[i + 1] < means[i])
         assert inversions <= 1
         assert means[-1] >= 5.0 * means[0]
-        assert result.fits["rmse_pos_rad"].a > 0.0
+        fit_a = result.summary["fit"]["rmse_pos_rad"]["a"]
+        assert fit_a > 0.0
         print(f"    mean position RMSE {means[0]:.4f} -> {means[-1]:.4f} rad "
               f"(x{means[-1] / means[0]:.0f}), inversions={inversions}, "
-              f"fit a={result.fits['rmse_pos_rad'].a:.2f}")
+              f"fit a={fit_a:.2f}")
 
 
 def test_criterion_6_failure_threshold(fine_sweep):
     result, _ = fine_sweep
     with criterion(6, "failure threshold d*"):
-        d_star = result.d_star_s
+        d_star = result.summary["d_star_s"]
         assert d_star is not None, "failure fraction never crossed 50%"
         assert 0.05 < d_star < 0.5
-        d_consec = result.bin_d_star_s.get("consecutive")
-        d_isolated = result.bin_d_star_s.get("isolated")
+        d_consec = result.summary["bins"]["consecutive"]["d_star_s"]
+        d_isolated = result.summary["bins"]["isolated"]["d_star_s"]
         inf = float("inf")
         assert (d_consec if d_consec is not None else inf) \
             < (d_isolated if d_isolated is not None else inf), \

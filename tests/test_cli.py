@@ -127,6 +127,25 @@ def test_scenario_the_graph_cannot_take_exits_2_from_run_and_sweep(
     assert not (tmp_path / "out").exists()
 
 
+def test_dmp_fit_with_non_finite_weights_exits_1_from_validate_and_2_from_run_and_sweep(
+        tmp_path, capsys):
+    raw = json.loads(data_path("case_study.json").read_text())
+    raw["clock"]["t_end_s"] = 0.05
+    raw["dmp"]["alpha_z"] = 1e308  # the forcing target overflows
+    raw["dmp"]["demo_file"] = str(data_path(raw["dmp"]["demo_file"]))
+    p = tmp_path / "alpha_z.json"
+    p.write_text(json.dumps(raw))
+    assert run_cli("validate", str(p)) == 1
+    assert "non-finite forcing weights" in capsys.readouterr().out
+    out = str(tmp_path / "out")
+    assert run_cli("run", str(p), "--out", out, "--quiet") == 2
+    assert run_cli("sweep", str(p), "--durations", "0.005", "--seeds", "1", "--jobs", "1",
+                   "--out", out, "--quiet") == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 2 and all("non-finite forcing weights" in line for line in err)
+    assert not (tmp_path / "out").exists()
+
+
 def test_validate_parse_error_exits_2(tmp_path):
     p = tmp_path / "broken.json"
     p.write_text("{]")

@@ -118,6 +118,10 @@ def test_learn_rejects_bad_demos():
         dmp.learn_weights(np.array([0.0, 1.0]), np.array([0.0, 1.0]), p)
     with pytest.raises(ValueError):
         dmp.learn_weights(np.array([0.0, 0.1, 0.5]), np.array([0.0, 1.0, 2.0]), p)
+    # a stiffness so large that the forcing target overflows
+    t = np.linspace(0.0, 1.0, 101)
+    with pytest.raises(ValueError, match="non-finite forcing weights"):
+        dmp.learn_weights(t, t**2, dmp.make_params(tau=1.0, g=0.0, alpha_z=1e308))
 
 
 def test_shipped_demo_replay_within_one_percent():
