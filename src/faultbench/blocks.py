@@ -8,8 +8,11 @@ A block exposes two kinds of output signals:
 * emitted outputs -- computed by ``emit`` from the current step's inputs
                      (instantaneous feedthrough)
 
-The engine calls, once per step and per block: ``state_outputs``, then
-``emit`` in topological order over feedthrough dependencies, then ``advance``.
+Once per step the engine calls ``state_outputs`` on every block that
+declares state outputs, then ``emit`` in topological order over feedthrough
+dependencies, then ``advance`` on every block whose class overrides
+``Block.advance``. A block with neither (the monitor, an injector) costs the
+step loop one ``emit`` call.
 """
 
 from __future__ import annotations

@@ -4,6 +4,10 @@ Exit codes
     validate:  0 valid, 1 schema/semantic violations, 2 unreadable file
     run:       0 Nominal, 3 Error, 4 Failure, 2 config error, 5 divergence
     sweep:     0 completed, 2 config error, 5 divergence in any cell
+
+A config error includes an ``--out`` that cannot be made a directory or
+written to (an existing file, or a path under one); ``run`` and ``sweep``
+find that out after simulating and print one line.
 """
 
 from __future__ import annotations
@@ -121,6 +125,11 @@ def _load_or_report(path) -> ScenarioConfig | None:
     return None
 
 
+def _report_unwritable(out: Path, exc: OSError) -> int:
+    print(f"cannot write outputs to {str(out)!r}: {exc}", file=sys.stderr)
+    return EXIT_CONFIG
+
+
 def cmd_run(args) -> int:
     cfg = _load_or_report(args.scenario)
     if cfg is None:
@@ -137,11 +146,14 @@ def cmd_run(args) -> int:
         print(f"numerical divergence: {exc}", file=sys.stderr)
         return EXIT_DIVERGENCE
 
-    args.out.mkdir(parents=True, exist_ok=True)
     trace_path = args.out / "trace.csv"
-    out.trace.to_csv(trace_path)
     violations_path = args.out / "violations.csv"
-    experiments.write_violations_csv(out.violations, violations_path)
+    try:
+        args.out.mkdir(parents=True, exist_ok=True)
+        out.trace.to_csv(trace_path)
+        experiments.write_violations_csv(out.violations, violations_path)
+    except OSError as exc:
+        return _report_unwritable(args.out, exc)
 
     if not args.quiet:
         print(f"trace: {trace_path} ({len(out.trace)} steps, "
@@ -194,10 +206,6 @@ def cmd_sweep(args) -> int:
         print(f"numerical divergence: {exc}", file=sys.stderr)
         return EXIT_DIVERGENCE
 
-    args.out.mkdir(parents=True, exist_ok=True)
-    experiments.write_results_csv(result, args.out / "sweep_results.csv")
-    experiments.write_summary_json(result, args.out / "sweep_summary.json")
-
     aggregates = result.summary["aggregates"]
     fit = result.summary["fit"].get("rmse_pos_rad")
     svg = svgplot.render_sweep_plot(
@@ -210,7 +218,13 @@ def cmd_sweep(args) -> int:
         xlabel="fault duration [s]",
         ylabel="position RMSE [rad]",
     )
-    (args.out / "rmse_plot.svg").write_text(svg)
+    try:
+        args.out.mkdir(parents=True, exist_ok=True)
+        experiments.write_results_csv(result, args.out / "sweep_results.csv")
+        experiments.write_summary_json(result, args.out / "sweep_summary.json")
+        (args.out / "rmse_plot.svg").write_text(svg)
+    except OSError as exc:
+        return _report_unwritable(args.out, exc)
 
     if not args.quiet:
         for agg in aggregates:

@@ -288,9 +288,16 @@ class DmpSystemBlock(Block):
 
     def reset(self) -> None:
         self.k = 0
+        self._chunk_start = 0
+        self._chunk: list[list[float]] = []  # rows from _chunk_start on, as floats
 
     def state_outputs(self, t: float) -> dict[str, float]:
-        return dict(zip(self.state_output_names, self.targets.rows[self.k].tolist()))
+        i = self.k - self._chunk_start
+        if not 0 <= i < len(self._chunk):
+            self._chunk_start = self.k
+            self._chunk = self.targets.rows[self.k:self.k + ROLLOUT_CHUNK].tolist()
+            i = 0
+        return dict(zip(self.state_output_names, self._chunk[i]))
 
     def advance(self, t: float, signals: dict[str, float], dt: float) -> None:
         if dt != self.targets.dt:

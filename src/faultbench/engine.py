@@ -3,11 +3,15 @@
 Signals are named scalars; trigger lines are booleans carried as 0/1. Each
 step proceeds in three phases:
 
-1. every block publishes its state outputs (values derivable from internal
-   state alone, hence from inputs of previous steps),
+1. every block with state outputs publishes them (values derivable from
+   internal state alone, hence from inputs of previous steps),
 2. blocks emit their feedthrough outputs in topological order over the
    instantaneous-feedthrough subgraph,
-3. every block advances its state from the completed signal set.
+3. every block that overrides ``Block.advance`` advances its state from the
+   completed signal set.
+
+A block without state outputs or without an ``advance`` of its own (the
+monitor, the injectors) is not called in that phase.
 
 Randomness comes from one PCG64 substream per block, derived from the run
 seed and the block name, so traces are bit-identical for a fixed
@@ -28,6 +32,7 @@ import numpy as np
 from . import dmp as dmp_mod
 from . import faults as faults_mod
 from . import plant as plant_mod
+from .blocks import Block
 from .scenario import ClockConfig, ScenarioConfig, base_signal_names, load_demo_csv
 
 
@@ -65,7 +70,8 @@ class NumericalDivergence(Exception):
                                       self.cell))
 
 
-TRACE_CSV_CHUNK = 256  # rows formatted per write
+# rows formatted per trace.csv write, and rows a run copies into its trace at once
+TRACE_CSV_CHUNK = 256
 
 
 @dataclass(frozen=True)
@@ -229,28 +235,37 @@ def run(graph: BlockGraph, clock: ClockConfig, seed: int) -> TraceLog:
 
     Bit-identical output for identical (graph, clock, seed). Raises
     NumericalDivergence if any block produces a non-finite value.
+
+    Step methods are looked up on the block instance every step. One
+    signal dict serves the whole run and is overwritten in place: every
+    signal has one producer that writes it every step, and the dict starts
+    empty, so a block that reads a signal before its producer writes it
+    raises ``KeyError`` on step 0.
     """
     steps = clock.n_steps
     dt = clock.dt_s
     columns = graph.monitored
     data = np.empty((steps, len(columns)))
     t_arr = np.arange(steps) * dt
-    # a tuple of the monitored values for several columns, one value for one
-    monitored_values = (operator.itemgetter(*columns) if columns
-                        else lambda signals: ())
+    # a row is a tuple of the monitored values for several columns and the
+    # value alone for one, so one column fills its 1-D view
+    monitored_values = operator.itemgetter(*columns) if columns else None
+    rows_into = data[:, 0] if len(columns) == 1 else data
+    rows: list = []
 
     rngs = {b.name: np.random.Generator(np.random.PCG64(_block_seed(seed, b.name)))
             for b in graph.blocks}
     for b in graph.blocks:
         b.reset()
 
-    blocks = graph.blocks
+    publishers = [b for b in graph.blocks if b.state_output_names]
+    advancers = [b for b in graph.blocks if type(b).advance is not Block.advance]
     emitters = [(b, rngs[b.name]) for b in graph.emit_order]
     isfinite = math.isfinite
+    signals: dict[str, float] = {}
     for k in range(steps):
         t = k * dt
-        signals: dict[str, float] = {}
-        for b in blocks:
+        for b in publishers:
             out = b.state_outputs(t)
             if not isfinite(sum(out.values())):
                 _check_finite(out, t, b.name)
@@ -260,9 +275,15 @@ def run(graph: BlockGraph, clock: ClockConfig, seed: int) -> TraceLog:
             if not isfinite(sum(out.values())):
                 _check_finite(out, t, b.name)
             signals.update(out)
-        data[k] = monitored_values(signals)
-        for b in blocks:
+        if monitored_values is not None:
+            rows.append(monitored_values(signals))
+            if len(rows) == TRACE_CSV_CHUNK:
+                rows_into[k + 1 - TRACE_CSV_CHUNK:k + 1] = rows
+                rows.clear()
+        for b in advancers:
             b.advance(t, signals, dt)
+    if rows:
+        rows_into[steps - len(rows):] = rows
     return TraceLog(columns=columns, t=t_arr, data=data)
 
 

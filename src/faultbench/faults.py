@@ -150,6 +150,11 @@ class Phase(enum.Enum):
     EXPIRED = "expired"
 
 
+# the phases the step path compares against; looking a member up on its
+# enum class costs more than the rest of a common step
+_ARMED, _ACTIVE = Phase.ARMED, Phase.ACTIVE
+
+
 # --------------------------------------------------------------------------
 # stochastic draws
 
@@ -234,6 +239,14 @@ class Injector(Block):
             self._fixed_mask = mask_from_positions(ft.bit_positions)
         else:
             self._fixed_mask = None
+        # the per-step activation probability, or None for a scheduled event
+        self._p = spec.event.p if isinstance(spec.event, FailureProbability) else None
+        appliers = {StuckAt: self._stuck_at, PackageDrop: self._package_drop,
+                    Bias: self._bias, Noise: self._noise, TimeDelay: self._time_delay,
+                    BitFlip: self._bit_flip}
+        if type(ft) not in appliers:
+            raise TypeError(f"unknown fault type: {ft!r}")
+        self._apply = appliers[type(ft)]
         self.reset()
 
     def reset(self) -> None:
@@ -259,29 +272,36 @@ class Injector(Block):
         if k == 0:
             self._held = x
 
+        if self._phase is _ARMED and self.enabled:
+            if trigger_in:
+                fires = True
+            elif self._p is not None:
+                fires = rng.random() < self._p
+            else:
+                fires = self._scheduled_time_reached(t, rng)
+            if not fires:  # the common step: pass the sample through
+                self._held = x
+                if self._dbuf is not None:
+                    self._dbuf.append(x)
+                return x, False
+            self._activate(k, rng)
+            if self._phase is _ARMED:  # zero-length window
+                self._held = x
+
         y, trig = x, False
-        if self.enabled:
-            if self._phase is Phase.ARMED:
-                if trigger_in or self._event_fires(t, rng):
-                    self._activate(k, rng)
-                if self._phase is Phase.ARMED:  # not activated, or zero-length window
-                    self._held = x
-            if self._phase is Phase.ACTIVE:
-                y, trig = self._apply(x, k, rng), True
-                if self._steps_left is not None:
-                    self._steps_left -= 1
-                    if self._steps_left == 0:
-                        self._deactivate()
+        if self._phase is _ACTIVE and self.enabled:
+            y, trig = self._apply(x, k, rng), True
+            if self._steps_left is not None:
+                self._steps_left -= 1
+                if self._steps_left == 0:
+                    self._deactivate()
         if self._dbuf is not None:
             self._dbuf.append(x)
         return y, trig
 
-    def _event_fires(self, t: float, rng) -> bool:
-        ev = self.spec.event
-        if isinstance(ev, FailureProbability):
-            return rng.random() < ev.p
+    def _scheduled_time_reached(self, t: float, rng) -> bool:
         if self._scheduled_t is None:
-            self._scheduled_t = sample_activation_time(ev, t, rng, self.dt)
+            self._scheduled_t = sample_activation_time(self.spec.event, t, rng, self.dt)
         return t >= self._scheduled_t - 1e-9 * self.dt
 
     def _activate(self, k: int, rng) -> None:
@@ -307,33 +327,41 @@ class Injector(Block):
             self._phase = Phase.ARMED
             self._scheduled_t = None  # re-sample activation time on next armed step
 
-    def _apply(self, x: float, k: int, rng) -> float:
-        ft = self.spec.fault_type
-        if isinstance(ft, StuckAt):
+    # -- fault types: the output of one active step ---------------------------
+
+    def _stuck_at(self, x: float, k: int, rng) -> float:
+        return self._held
+
+    def _package_drop(self, x: float, k: int, rng) -> float:
+        return self.spec.fault_type.replacement
+
+    def _bias(self, x: float, k: int, rng) -> float:
+        return x + self.spec.fault_type.offset
+
+    def _noise(self, x: float, k: int, rng) -> float:
+        # a bound that overflows is cut to the widest range uniform() takes
+        bound = min(abs(x) * self.spec.fault_type.boundary_pct / 100.0,
+                    sys.float_info.max / 2)
+        y = x + rng.uniform(-bound, bound)
+        while abs(y - x) > bound:  # the sum rounded past the bound
+            y = math.nextafter(y, x)
+        return y
+
+    def _time_delay(self, x: float, k: int, rng) -> float:
+        if k - self._act_step < self._delay_steps:
             return self._held
-        if isinstance(ft, PackageDrop):
-            return ft.replacement
-        if isinstance(ft, Bias):
-            return x + ft.offset
-        if isinstance(ft, Noise):
-            # a bound that overflows is cut to the widest range uniform() takes
-            bound = min(abs(x) * ft.boundary_pct / 100.0, sys.float_info.max / 2)
-            y = x + rng.uniform(-bound, bound)
-            while abs(y - x) > bound:  # the sum rounded past the bound
-                y = math.nextafter(y, x)
-            return y
-        if isinstance(ft, TimeDelay):
-            if k - self._act_step < self._delay_steps:
-                return self._held
-            return self._dbuf[0]  # input from delay_steps ago; buffer is full here
-        if isinstance(ft, BitFlip):
-            return flip_bits(x, self._mask)
-        raise TypeError(f"unknown fault type: {ft!r}")
+        return self._dbuf[0]  # input from delay_steps ago; buffer is full here
+
+    def _bit_flip(self, x: float, k: int, rng) -> float:
+        return flip_bits(x, self._mask)
 
     # -- block protocol -------------------------------------------------------
 
     def emit(self, t: float, signals: dict[str, float], rng) -> dict[str, float]:
-        trigger_in = (any(signals[s] >= 0.5 for s in self.trigger_sources)
-                      if self.trigger_sources else False)
+        trigger_in = False
+        for source in self.trigger_sources:
+            if signals[source] >= 0.5:
+                trigger_in = True
+                break
         y, trig = self.step(float(signals[self.in_signal]), t, trigger_in, rng)
         return {self.out_signal: y, self.trigger_signal: 1.0 if trig else 0.0}

@@ -17,7 +17,6 @@ from __future__ import annotations
 import enum
 import functools
 import math
-import operator
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -131,10 +130,13 @@ def dynamic_control(y_target: float, yd_target: float, ydd_target: float,
 
     ``tau_demand`` is the raw control demand, ``tau_cmd`` the value after
     saturation to the actuator rating. The measured values are whatever the
-    sensor path delivers, faulted or not.
+    sensor path delivers, faulted or not. The saturation is
+    ``max(-max_torque, min(max_torque, demand))`` written as two
+    comparisons, which give the same value for every demand, NaN included.
     """
     demand = inertia * ydd_target + kp * (y_target - theta_meas) + kd * (yd_target - omega_meas)
-    return max(-max_torque, min(max_torque, demand)), demand
+    cmd = demand if demand < max_torque else max_torque
+    return (cmd if cmd > -max_torque else -max_torque), demand
 
 
 def joint_step(params: JointParams, state: JointState, tau: float, dt: float) -> JointState:
@@ -245,19 +247,14 @@ class PlantBlock(Block):
             thetas[i] += omega * dt
 
 
-def _tuple_getter(names: list[str]):
-    """``operator.itemgetter`` that returns a tuple for any number of names."""
-    if len(names) >= 2:
-        return operator.itemgetter(*names)
-    return lambda signals: tuple(signals[name] for name in names)
-
-
 class MonitorBlock(Block):
     """Safety monitor over the true joint states and torque demands.
 
     Always reads the raw plant outputs: a fault on a sensor path changes
     what the controller sees, not what physically happened, and the safety
-    verdict is about the physical state.
+    verdict is about the physical state. A step on which every joint passes
+    ``monitor``'s own skip test is checked here without calling it; any
+    other step goes through ``monitor``, which makes every record.
     """
 
     def __init__(self, name: str, joints: list[JointParams]):
@@ -269,16 +266,24 @@ class MonitorBlock(Block):
         self.demand_signals = [f"plant.{j}.torque_cmd" for j in jn]
         self.inputs = tuple(self.pos_signals + self.vel_signals + self.demand_signals)
         self.emit_output_names = ("monitor.violations",)
-        self._positions = _tuple_getter(self.pos_signals)
-        self._velocities = _tuple_getter(self.vel_signals)
-        self._demands = _tuple_getter(self.demand_signals)
+        self._checks = tuple(
+            (pos, vel, demand, p.max_torque, p.max_speed, p.rot_min, p.rot_max)
+            for p, pos, vel, demand in zip(joints, self.pos_signals, self.vel_signals,
+                                           self.demand_signals))
         self.reset()
 
     def reset(self) -> None:
         self.violations: list[ViolationRecord] = []
 
     def emit(self, t: float, signals: dict[str, float], rng) -> dict[str, float]:
-        records = monitor(self.joints, self._positions(signals), self._velocities(signals),
-                          self._demands(signals), t)
+        for pos, vel, demand, max_torque, max_speed, rot_min, rot_max in self._checks:
+            if not (abs(signals[demand]) <= max_torque and abs(signals[vel]) <= max_speed
+                    and rot_min <= signals[pos] <= rot_max):
+                break
+        else:
+            return {"monitor.violations": 0.0}
+        records = monitor(self.joints, [signals[s] for s in self.pos_signals],
+                          [signals[s] for s in self.vel_signals],
+                          [signals[s] for s in self.demand_signals], t)
         self.violations.extend(records)
         return {"monitor.violations": float(len(records))}

@@ -358,6 +358,23 @@ def test_sweep_divergent_cell_exits_5(tmp_path, capsys):
     assert code == 5
 
 
+@pytest.mark.parametrize("under_file", [False, True], ids=["a-file", "under-a-file"])
+@pytest.mark.parametrize("command", ["run", "sweep"])
+def test_out_that_cannot_be_a_directory_exits_2(tmp_path, capsys, command, under_file):
+    afile = tmp_path / "afile"
+    afile.write_text("kept\n")
+    out = str(afile / "out" if under_file else afile)
+    p = sweep_scenario(tmp_path, t_end=0.05)
+    argv = (("run", p) if command == "run"
+            else ("sweep", p, "--durations", "0.005", "--seeds", "1", "--jobs", "1"))
+    assert run_cli(*argv, "--out", out, "--quiet") == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = captured.err.splitlines()
+    assert len(err) == 1 and out in err[0] and "Traceback" not in captured.err
+    assert afile.read_text() == "kept\n"
+
+
 # --------------------------------------------------------------------------
 # validate OK means run and sweep finish
 

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from faultbench import engine, faults
+from faultbench import dmp, engine, faults
 from faultbench.blocks import Block
 from faultbench.scenario import ClockConfig
 
@@ -219,9 +219,11 @@ def test_finite_outputs_whose_sum_overflows_pass(emitted):
 
 
 def test_run_calls_each_step_method_once_per_step(case_study_cfg):
-    """engine.run calls state_outputs, emit and advance on each block
-    instance every step, and an injector's emit returns a dict with its
-    trigger signal; tracing that wraps these methods relies on both."""
+    """engine.run looks up and calls state_outputs, emit and advance on the
+    instance of each block that has them (the plant has all three, an
+    injector only emit) once per step, and an injector's emit returns a
+    dict with its trigger signal; tracing that wraps these methods relies
+    on both."""
     from dataclasses import replace
     cfg = replace(case_study_cfg, clock=ClockConfig(dt_s=1e-3, t_end_s=0.2))
     graph = engine.build_graph(cfg)
@@ -246,6 +248,62 @@ def test_run_calls_each_step_method_once_per_step(case_study_cfg):
     for b in injectors:
         assert len(emitted[b.name]) == 200
         assert all(type(out) is dict and b.trigger_signal in out for out in emitted[b.name])
+
+
+def test_dmp_block_leads_and_publishes_once_per_step(case_study_cfg):
+    """Tracing counts steps from the state outputs of block 0: it is the
+    DMP, and the engine calls them once per step, also across the rows of
+    more than one chunk of its target table."""
+    from dataclasses import replace
+    cfg = replace(case_study_cfg, clock=ClockConfig(dt_s=1e-3, t_end_s=0.3))
+    graph = engine.build_graph(cfg)
+    block = graph.blocks[0]
+    assert isinstance(block, dmp.DmpSystemBlock)
+    seen = []
+
+    def counted(t, original=block.state_outputs):
+        seen.append(block.k)
+        return original(t)
+    block.state_outputs = counted
+    trace = engine.run(graph, cfg.clock, 0)
+    assert seen == list(range(300))
+    assert np.array_equal(trace.signal("dmp.right_knee.pos"),
+                          block.targets.rows[:, 3 * cfg.joint_names.index("right_knee")])
+
+
+class Recorder(Block):
+    """Copies ``signals`` in its emit, after every block it reads: the
+    per-step reference for the rows of a trace."""
+
+    def __init__(self, signals):
+        self.name = "recorder"
+        self.inputs = tuple(signals)
+        self.emit_output_names = ("recorder.rows",)
+        self.reset()
+
+    def reset(self):
+        self.rows = []
+
+    def emit(self, t, signals, rng):
+        self.rows.append([signals[name] for name in self.inputs])
+        return {"recorder.rows": float(len(self.rows))}
+
+
+@pytest.mark.parametrize("n_steps", [1, 255, 256, 257, 1001])
+def test_trace_rows_match_a_per_step_record(n_steps):
+    cfg = make_scenario(injectors=[stuck_spec(p=0.01, duration=0.02)], t_end=n_steps * 1e-3)
+    graph = engine.build_graph(cfg)
+    every = graph.monitored
+    recorder = Recorder(every)
+    three = ("inj.stuck.trigger", "dmp.right_knee.acc", "plant.right_knee.torque")
+    for monitored in ((), ("plant.right_knee.pos",), three, every):
+        trace = engine.run(engine.BlockGraph(graph.blocks + [recorder], monitored),
+                           cfg.clock, 7)
+        assert trace.columns == monitored
+        assert trace.data.shape == (n_steps, len(monitored))
+        want = np.array(recorder.rows)
+        for name in monitored:
+            assert np.array_equal(trace.signal(name), want[:, every.index(name)]), name
 
 
 def test_chaining_synchrony(case_study_cfg):

@@ -1,14 +1,19 @@
 """Exact behaviour of the fault injector state machine and fault types."""
 
+import hashlib
 import math
 import struct
 import sys
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from faultbench import faults
+from faultbench import engine, faults
+from faultbench.plant import JOINT_NAMES
+
+from conftest import make_scenario
 
 DT = 1e-3
 
@@ -295,3 +300,68 @@ def test_constant_time_250_steps_at_1ms():
     n = 300
     outs, _ = drive(inj, [1.0] * n, triggers=[True] + [False] * (n - 1))
     assert sum(1 for y in outs if y == 0.0) == 250
+
+
+# --------------------------------------------------------------------------
+# pinned runs of the injector paths the case study does not take
+
+
+def _spec(name, target, fault_type, event, effect, enabled=True, chain_to=None):
+    return faults.FaultSpec(name=name, target_signal=target, fault_type=fault_type,
+                            event=event, effect=effect, enabled=enabled, chain_to=chain_to)
+
+
+PATH_INJECTORS = [
+    _spec("noise", "plant.left_hip.pos", faults.Noise(boundary_pct=5.0),
+          faults.FailureProbability(0.002), faults.MeanTimeToRepair(0.05, 0.02)),
+    _spec("delay", "plant.left_knee.vel", faults.TimeDelay(0.005),
+          faults.FailureProbability(0.003), faults.ConstantTime(0.1)),
+    _spec("flip", "plant.left_ankle.pos", faults.BitFlip(n_bits=2),
+          faults.MeanTimeToFailure(0.6, 0.2), faults.Once()),
+    _spec("bias", "plant.right_hip.vel", faults.Bias(0.01),
+          faults.FailureProbability(0.001), faults.InfiniteTime()),
+    _spec("off", "plant.right_ankle.pos", faults.StuckAt(),
+          faults.FailureProbability(0.5), faults.ConstantTime(0.1), enabled=False),
+    _spec("up", "plant.right_knee.pos", faults.StuckAt(),
+          faults.FailureProbability(0.002), faults.ConstantTime(0.05), chain_to="down"),
+    _spec("down", "plant.right_knee.vel", faults.PackageDrop(0.0),
+          faults.FailureProbability(0.0), faults.ConstantTime(0.05)),
+]
+
+# seed -> (sha256 of trace.csv with every signal, or the divergence message;
+# the activation log of each injector)
+PATH_PINS = {
+    0: ("5013e19dce6320f01355d7edf809228adab0e8173736b4c83e3529cb98aa7081",
+        {"inj.noise": [(453, 62)],
+         "inj.delay": [(203, 100), (521, 100), (893, 100), (1149, 100), (1279, 100)],
+         "inj.flip": [(798, 1)], "inj.bias": [(1057, None)], "inj.off": [],
+         "inj.up": [(499, 50), (865, 50)], "inj.down": [(499, 50), (865, 50)]}),
+    1: ("31a20172260167ac2e8aebaffe7febc25678d0f29ecf9a498ae37e3b14ee8c56",
+        {"inj.noise": [(486, 33), (893, 25)], "inj.delay": [(552, 100), (806, 100)],
+         "inj.flip": [(653, 1)], "inj.bias": [(177, None)], "inj.off": [],
+         "inj.up": [(472, 50), (612, 50), (793, 50), (1291, 50)],
+         "inj.down": [(472, 50), (612, 50), (793, 50), (1291, 50)]}),
+    2: ("fe7b297b0b80b87cf7927c01eded8b5d48e93ac54bf5924c4f49abfc21553822",
+        {"inj.noise": [(463, 42), (599, 17)],
+         "inj.delay": [(14, 100), (303, 100), (613, 100), (888, 100)],
+         "inj.flip": [(623, 1)], "inj.bias": [(61, None)], "inj.off": [],
+         "inj.up": [(60, 50), (258, 50), (343, 50)],
+         "inj.down": [(60, 50), (258, 50), (343, 50)]}),
+}
+
+
+@pytest.mark.parametrize("seed", sorted(PATH_PINS))
+def test_injector_paths_pinned(seed):
+    """Noise with a drawn repair time, a delay window, a random two-bit flip
+    at a drawn time, an endless bias, a disabled injector and a chain whose
+    downstream event never fires, on the case-study joints for 1.5 s."""
+    cfg = make_scenario(joints=JOINT_NAMES, injectors=PATH_INJECTORS,
+                        demo="demo_gait.csv", t_end=1.5)
+    graph = engine.build_graph(cfg)
+    try:
+        trace = engine.run(graph, cfg.clock, seed)
+        outcome = hashlib.sha256(trace.to_csv_str().encode()).hexdigest()
+    except engine.NumericalDivergence as exc:
+        outcome = str(exc)
+    logs = {b.name: b.activations for b in graph.blocks if isinstance(b, faults.Injector)}
+    assert (outcome, logs) == PATH_PINS[seed]

@@ -1,6 +1,7 @@
 """Joint dynamics, control law, conversions, and the safety monitor."""
 
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -31,6 +32,30 @@ def test_dynamic_control_saturates_at_rating():
     cmd, _ = plant.dynamic_control(-10.0, 0.0, 0.0, 0.0, 0.0,
                                    inertia=0.8, kp=200.0, kd=20.0, max_torque=54.9)
     assert cmd == -54.9
+
+
+def _bits(x: float) -> bytes:
+    return struct.pack("<d", x)
+
+
+@st.composite
+def ratings_and_demands(draw):
+    """A torque rating and a demand at or near its edges, or any float."""
+    m = draw(st.floats(min_value=5e-324, max_value=1.7e308))
+    up, down = math.inf, -math.inf
+    edges = [math.nan, up, down, m, -m, 0.0, -0.0, math.nextafter(m, up),
+             math.nextafter(m, 0.0), math.nextafter(-m, down), math.nextafter(-m, 0.0)]
+    return m, draw(st.sampled_from(edges) | st.floats())
+
+
+@given(ratings_and_demands())
+def test_dynamic_control_clamp_equals_max_min(case):
+    m, d = case
+    # the PD terms are -0.0 and d + -0.0 is d, so the demand is d bit for bit
+    cmd, demand = plant.dynamic_control(0.0, 0.0, d, 0.0, 0.0,
+                                        inertia=1.0, kp=-0.0, kd=-0.0, max_torque=m)
+    assert _bits(demand) == _bits(d)
+    assert _bits(cmd) == _bits(max(-m, min(m, d)))
 
 
 def knee(**overrides):
