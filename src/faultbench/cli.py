@@ -6,8 +6,10 @@ Exit codes
     sweep:     0 completed, 2 config error, 5 divergence in any cell
 
 A config error includes an ``--out`` that cannot be made a directory or
-written to (an existing file, or a path under one); ``run`` and ``sweep``
-find that out after simulating and print one line.
+written to. ``run`` and ``sweep`` check before simulating, creating
+nothing, that the nearest existing one of ``--out`` and its ancestors is a
+directory (so not an existing file, nor a path under one); any other
+failure to write shows after simulating. Either way they print one line.
 """
 
 from __future__ import annotations
@@ -125,14 +127,27 @@ def _load_or_report(path) -> ScenarioConfig | None:
     return None
 
 
-def _report_unwritable(out: Path, exc: OSError) -> int:
-    print(f"cannot write outputs to {str(out)!r}: {exc}", file=sys.stderr)
+def _report_unwritable(out: Path, reason: object) -> int:
+    print(f"cannot write outputs to {str(out)!r}: {reason}", file=sys.stderr)
     return EXIT_CONFIG
+
+
+def _out_blocked(out: Path) -> bool:
+    """Whether ``out`` cannot be made a directory because the nearest
+    existing one of it and its ancestors is not a directory; if so, says so
+    in one line. Creates nothing."""
+    for path in (out, *out.parents):
+        if os.path.exists(path):
+            if os.path.isdir(path):
+                return False
+            _report_unwritable(out, f"{str(path)!r} is not a directory")
+            return True
+    return False
 
 
 def cmd_run(args) -> int:
     cfg = _load_or_report(args.scenario)
-    if cfg is None:
+    if cfg is None or _out_blocked(args.out):
         return EXIT_CONFIG
 
     seed = cfg.seed if args.seed is None else args.seed
@@ -192,6 +207,8 @@ def cmd_sweep(args) -> int:
         plan.resolved_varied()
     except ValueError as exc:
         print(str(exc), file=sys.stderr)
+        return EXIT_CONFIG
+    if _out_blocked(args.out):
         return EXIT_CONFIG
 
     if not args.quiet:

@@ -6,7 +6,8 @@ step proceeds in three phases:
 1. every block with state outputs publishes them (values derivable from
    internal state alone, hence from inputs of previous steps),
 2. blocks emit their feedthrough outputs in topological order over the
-   instantaneous-feedthrough subgraph,
+   instantaneous-feedthrough subgraph (any such order gives the same
+   trace, because ``emit`` reads only a block's feedthrough inputs),
 3. every block that overrides ``Block.advance`` advances its state from the
    completed signal set.
 
@@ -21,6 +22,8 @@ blocks.
 
 from __future__ import annotations
 
+import contextlib
+import graphlib
 import hashlib
 import io
 import math
@@ -74,6 +77,14 @@ class NumericalDivergence(Exception):
 TRACE_CSV_CHUNK = 256
 
 
+def _opened(path_or_file, mode: str):
+    """A context that opens a path in ``mode`` and closes it on exit, or
+    yields an open file object as it is and leaves it open."""
+    if isinstance(path_or_file, (str, bytes)) or hasattr(path_or_file, "__fspath__"):
+        return open(path_or_file, mode, newline="")
+    return contextlib.nullcontext(path_or_file)
+
+
 @dataclass(frozen=True)
 class TraceLog:
     """Immutable per-step record of monitored signals."""
@@ -91,22 +102,13 @@ class TraceLog:
     def to_csv(self, path_or_file) -> None:
         """Write a ``t`` column and one column per signal, every value as
         ``%.9g``, ``TRACE_CSV_CHUNK`` rows per write."""
-        close = False
-        if isinstance(path_or_file, (str, bytes)) or hasattr(path_or_file, "__fspath__"):
-            fh = open(path_or_file, "w", newline="")
-            close = True
-        else:
-            fh = path_or_file
-        try:
+        with _opened(path_or_file, "w") as fh:
             fh.write(",".join(("t",) + self.columns) + "\n")
             row_format = ",".join(["%.9g"] * (1 + len(self.columns))) + "\n"
             for start in range(0, len(self.t), TRACE_CSV_CHUNK):
                 stop = start + TRACE_CSV_CHUNK
                 rows = np.column_stack((self.t[start:stop], self.data[start:stop])).tolist()
                 fh.write("".join([row_format % tuple(row) for row in rows]))
-        finally:
-            if close:
-                fh.close()
 
     def to_csv_str(self) -> str:
         buf = io.StringIO()
@@ -115,21 +117,12 @@ class TraceLog:
 
     @classmethod
     def from_csv(cls, path_or_file) -> "TraceLog":
-        close = False
-        if isinstance(path_or_file, (str, bytes)) or hasattr(path_or_file, "__fspath__"):
-            fh = open(path_or_file, "r", newline="")
-            close = True
-        else:
-            fh = path_or_file
-        try:
+        with _opened(path_or_file, "r") as fh:
             header = fh.readline().strip()
             names = header.split(",")
             if not names or names[0] != "t":
                 raise ValueError("trace CSV must start with a 't' column")
             rows = [line.strip().split(",") for line in fh if line.strip()]
-        finally:
-            if close:
-                fh.close()
         if rows:
             arr = np.array([[float(v) for v in row] for row in rows])
             t, data = arr[:, 0], arr[:, 1:]
@@ -175,48 +168,15 @@ class BlockGraph:
 
     def _sort_feedthrough(self) -> list:
         emitters = [b for b in self.blocks if b.emit_output_names]
-        emitted_by = {sig: b.name for b in emitters for sig in b.emit_output_names}
-        index = {b.name: i for i, b in enumerate(self.blocks)}
-        deps: dict[str, set[str]] = {b.name: set() for b in emitters}
-        rdeps: dict[str, set[str]] = {b.name: set() for b in emitters}
-        for b in emitters:
-            for sig in b.feedthrough_inputs:
-                src = emitted_by.get(sig)
-                if src is not None and src != b.name:
-                    deps[b.name].add(src)
-                    rdeps[src].add(b.name)
-
-        order = []
-        remaining = {b.name: set(d) for b, d in ((b, deps[b.name]) for b in emitters)}
-        by_name = {b.name: b for b in emitters}
-        ready = sorted((n for n, d in remaining.items() if not d), key=index.__getitem__)
-        while ready:
-            name = ready.pop(0)
-            order.append(by_name[name])
-            del remaining[name]
-            newly = []
-            for succ in rdeps[name]:
-                if succ in remaining:
-                    remaining[succ].discard(name)
-                    if not remaining[succ]:
-                        newly.append(succ)
-            ready = sorted(ready + newly, key=index.__getitem__)
-        if remaining:
-            cycle = self._find_cycle(remaining, deps)
-            raise AlgebraicLoop(cycle)
-        return order
-
-    @staticmethod
-    def _find_cycle(remaining, deps) -> list[str]:
-        start = sorted(remaining)[0]
-        seen, path = set(), [start]
-        node = start
-        while node not in seen:
-            seen.add(node)
-            node = sorted(d for d in deps[node] if d in remaining)[0]
-            path.append(node)
-        i = path.index(node)
-        return path[i:]
+        emitted_by = {sig: b for b in emitters for sig in b.emit_output_names}
+        sorter = graphlib.TopologicalSorter()
+        for b in emitters:  # declaration order, so every process sorts alike
+            sorter.add(b, *dict.fromkeys(emitted_by[sig] for sig in b.feedthrough_inputs
+                                         if sig in emitted_by))
+        try:
+            return list(sorter.static_order())
+        except graphlib.CycleError as exc:
+            raise AlgebraicLoop([b.name for b in exc.args[1]]) from None
 
     def block(self, name: str):
         for b in self.blocks:
@@ -329,7 +289,20 @@ def build_graph(cfg: ScenarioConfig) -> BlockGraph:
     Injectors targeting the same signal are chained in declaration order;
     every consumer except the monitor then reads the end of the chain. The
     monitor always reads the raw plant signals, because the safety verdict
-    concerns the physical state, not the sensor view.
+    concerns the physical state, not the sensor view. Per joint ``<j>``:
+
+    =====================  ===================================  ===========
+    injectable signal      read through the chain by            phase
+    =====================  ===================================  ===========
+    ``dmp.<j>.pos/vel``    plant controller (targets)           emit
+    ``dmp.<j>.acc``        plant controller (feedforward)       emit
+    ``plant.<j>.pos/vel``  plant controller (measurements)      emit
+    ``plant.<j>.torque``   plant dynamics (applied torque)      advance
+    =====================  ===================================  ===========
+
+    Only the monitor reads ``plant.<j>.torque_cmd``, and raw; nothing reads
+    ``monitor.violations``. An injector on either would change nothing, so
+    the scenario parser rejects it.
 
     The trajectory generator is open-loop, so its targets depend only on the
     demo, the DMP settings and the clock. They are fitted once per process
@@ -364,12 +337,9 @@ def build_graph(cfg: ScenarioConfig) -> BlockGraph:
 
     dmp_block = dmp_mod.DmpSystemBlock("dmp", joint_names,
                                        _dmp_targets(cfg, times, demo, joint_names))
-    # controller measurements read the faulted chain ends
     plant_block = plant_mod.PlantBlock(
         "plant", list(cfg.joints), cfg.control.kp, cfg.control.kd,
-        theta0=[float(demo[0, j]) for j in range(len(joint_names))],
-        measured_pos=[chain_end.get(f"plant.{j}.pos", f"plant.{j}.pos") for j in joint_names],
-        measured_vel=[chain_end.get(f"plant.{j}.vel", f"plant.{j}.vel") for j in joint_names],
+        theta0=[float(demo[0, j]) for j in range(len(joint_names))], reads=chain_end,
     )
     monitor_block = plant_mod.MonitorBlock("monitor", list(cfg.joints))
 

@@ -2,9 +2,10 @@
 
 Each joint is an independent second-order rotational plant
 I * d(omega)/dt = tau - b * omega, driven by a computed-torque + PD
-controller that turns trajectory targets into torque demands. Sensor taps
-(true angle and angular velocity) are where fault injectors attach; the
-controller reads the possibly-faulted versions.
+controller that turns trajectory targets into torque demands. Fault
+injectors attach to what the plant reads: the trajectory targets, the
+sensor taps (true angle and angular velocity) and the applied torque. The
+plant reads the possibly-faulted versions; the monitor reads the raw ones.
 
 A constraint monitor checks every step against the straight-walking safety
 limits: exceeding a torque or speed rating is an Error, leaving the joint's
@@ -178,41 +179,50 @@ class PlantBlock(Block):
 
     True angle/velocity are state outputs (sensor taps, one-step causal);
     torques are emitted feedthrough from the current targets and
-    measurements. ``measured_pos``/``measured_vel`` name the signals the
-    controller reads, one per joint: the end of any injector chain on the
-    joint's sensor, by default the raw plant signals.
+    measurements. ``reads`` maps a signal the plant consumes to the signal
+    it reads in its place (``build_graph`` passes the end of each injector
+    chain); every other signal is read as named. ``emit`` reads the three
+    ``dmp.<j>.*`` targets and ``plant.<j>.pos``/``vel`` through it, and
+    ``advance`` applies ``plant.<j>.torque`` through it. The applied torque
+    is not a feedthrough input, so an injector on it closes no algebraic
+    loop.
     """
 
     def __init__(self, name: str, joints: list[JointParams], kp: float, kd: float,
-                 theta0: list[float], measured_pos=None, measured_vel=None):
+                 theta0: list[float], reads: dict[str, str] | None = None):
         self.name = name
         self.joints = list(joints)
         self.kp = kp
         self.kd = kd
         self.theta0 = list(theta0)
+        reads = reads or {}
+
+        def read(sig: str) -> str:
+            return reads.get(sig, sig)
+
         jn = [p.name for p in joints]
-        self.target_signals = [(f"dmp.{j}.pos", f"dmp.{j}.vel", f"dmp.{j}.acc") for j in jn]
-        self.measured_pos = tuple(measured_pos or (f"plant.{j}.pos" for j in jn))
-        self.measured_vel = tuple(measured_vel or (f"plant.{j}.vel" for j in jn))
-        self.inputs = (tuple(sig for triple in self.target_signals for sig in triple)
-                       + self.measured_pos + self.measured_vel)
         self.state_output_names = tuple(
             f"plant.{j}.{field}" for j in jn for field in ("pos", "vel")
         )
         self.emit_output_names = tuple(
             f"plant.{j}.{field}" for j in jn for field in ("torque", "torque_cmd")
         )
-        self.torque_signals = [f"plant.{j}.torque" for j in jn]
         self._state_pairs = tuple(zip(self.state_output_names[0::2],
                                       self.state_output_names[1::2]))
         self._control_rows = tuple(
-            (*targets, meas_pos, meas_vel, p.inertia, p.max_torque,
-             f"plant.{p.name}.torque", f"plant.{p.name}.torque_cmd")
-            for p, targets, meas_pos, meas_vel in zip(
-                self.joints, self.target_signals, self.measured_pos, self.measured_vel))
-        self._dynamics = tuple((sig, p.damping, p.inertia)
-                               for sig, p in zip(self.torque_signals, self.joints))
+            (read(f"dmp.{j}.pos"), read(f"dmp.{j}.vel"), read(f"dmp.{j}.acc"),
+             read(f"plant.{j}.pos"), read(f"plant.{j}.vel"),
+             p.inertia, p.max_torque, f"plant.{j}.torque", f"plant.{j}.torque_cmd")
+            for p, j in zip(self.joints, jn))
+        self._dynamics = tuple((read(f"plant.{j}.torque"), p.damping, p.inertia)
+                               for p, j in zip(self.joints, jn))
+        self._feedthrough = tuple(sig for row in self._control_rows for sig in row[:5])
+        self.inputs = self._feedthrough + tuple(sig for sig, _, _ in self._dynamics)
         self.reset()
+
+    @property
+    def feedthrough_inputs(self) -> tuple[str, ...]:
+        return self._feedthrough
 
     def reset(self) -> None:
         self.thetas = list(self.theta0)

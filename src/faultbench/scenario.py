@@ -388,11 +388,16 @@ def _parse_injectors(raw, errs, joints, clock) -> tuple[faults.FaultSpec, ...]:
     names = [s.name for s in specs]
     if len(set(names)) != len(names):
         errs.append("injectors: names must be unique")
-    injectable = set(base_signal_names([p.name for p in joints]))
+    produced = set(base_signal_names([p.name for p in joints]))
+    # the monitor reads raw signals, and nothing reads its output
+    unread = {"monitor.violations", *(f"plant.{p.name}.torque_cmd" for p in joints)}
     for s in specs:
         ctx = f"injector '{s.name}'"
-        if s.target_signal not in injectable:
+        if s.target_signal not in produced:
             errs.append(f"{ctx}: target_signal {s.target_signal!r} does not exist")
+        elif s.target_signal in unread:
+            errs.append(f"{ctx}: target_signal {s.target_signal!r} is read through no "
+                        f"injector chain, so a fault on it changes nothing")
         if s.chain_to is not None:
             if s.chain_to == s.name:
                 errs.append(f"{ctx}: chained to itself")

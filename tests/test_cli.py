@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from faultbench import cli, plant
+from faultbench import cli, experiments, plant
 from faultbench.engine import TraceLog
 from faultbench.scenario import base_signal_names, data_path
 
@@ -360,7 +360,12 @@ def test_sweep_divergent_cell_exits_5(tmp_path, capsys):
 
 @pytest.mark.parametrize("under_file", [False, True], ids=["a-file", "under-a-file"])
 @pytest.mark.parametrize("command", ["run", "sweep"])
-def test_out_that_cannot_be_a_directory_exits_2(tmp_path, capsys, command, under_file):
+def test_out_that_cannot_be_a_directory_exits_2(tmp_path, capsys, monkeypatch, command,
+                                                under_file):
+    def simulation_started(*args, **kwargs):
+        raise AssertionError("simulated before checking --out")
+    monkeypatch.setattr(experiments, "simulate", simulation_started)
+    monkeypatch.setattr(experiments, "run_sweep", simulation_started)
     afile = tmp_path / "afile"
     afile.write_text("kept\n")
     out = str(afile / "out" if under_file else afile)

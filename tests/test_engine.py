@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from faultbench import dmp, engine, faults
+from faultbench import dmp, engine, faults, plant
 from faultbench.blocks import Block
 from faultbench.scenario import ClockConfig
 
@@ -35,9 +35,8 @@ def test_case_study_chains_trigger(case_study_cfg):
     assert "inj.knee_pos_stuck.trigger" in graph.block("inj.knee_vel_freeze").inputs
     # controller reads the faulted signals, monitor the raw ones
     plant_block = graph.block("plant")
-    knee = list(case_study_cfg.joint_names).index("right_knee")
-    assert plant_block.measured_pos[knee] == "inj.knee_pos_stuck.out"
-    assert plant_block.measured_vel[knee] == "inj.knee_vel_freeze.out"
+    assert {"inj.knee_pos_stuck.out", "inj.knee_vel_freeze.out"} <= set(plant_block.inputs)
+    assert not {"plant.right_knee.pos", "plant.right_knee.vel"} & set(plant_block.inputs)
     monitor_block = graph.block("monitor")
     assert "plant.right_knee.pos" in monitor_block.inputs
 
@@ -54,6 +53,51 @@ def test_mutual_trigger_chain_is_algebraic_loop():
     with pytest.raises(engine.AlgebraicLoop) as exc_info:
         engine.build_graph(make_scenario(injectors=[a, b]))
     assert "inj.a" in str(exc_info.value) and "inj.b" in str(exc_info.value)
+
+
+# the case-study joints and demo on a short clock
+SIX_JOINTS = dict(joints=plant.JOINT_NAMES, demo="demo_gait.csv", t_end=0.3)
+
+
+def drop_spec(target, name="drop", chain_to=None):
+    """An injector that replaces ``target`` with 0 from the first step on."""
+    return faults.FaultSpec(name=name, target_signal=target,
+                            fault_type=faults.PackageDrop(replacement=0.0),
+                            event=faults.FailureProbability(p=1.0),
+                            effect=faults.InfiniteTime(), chain_to=chain_to)
+
+
+@pytest.fixture(scope="module")
+def six_joint_reference():
+    return run_cfg(make_scenario(**SIX_JOINTS))[1]
+
+
+@pytest.mark.parametrize("target", [f"{block}.right_knee.{field}" for block, field in (
+    ("dmp", "pos"), ("dmp", "vel"), ("dmp", "acc"),
+    ("plant", "pos"), ("plant", "vel"), ("plant", "torque"))])
+def test_an_injector_changes_its_joint_and_only_its_joint(six_joint_reference, target):
+    ref = six_joint_reference
+    _, trace = run_cfg(make_scenario(injectors=[drop_spec(target)], **SIX_JOINTS))
+    assert not np.array_equal(trace.signal("plant.right_knee.pos"),
+                              ref.signal("plant.right_knee.pos"))
+    others = [c for c in ref.columns if c.split(".")[1] not in ("right_knee", "violations")]
+    assert len(others) == 5 * 7
+    for column in others:
+        assert np.array_equal(trace.signal(column), ref.signal(column)), column
+
+
+def test_torque_injector_builds_and_chained_into_a_sensor_is_an_algebraic_loop():
+    torque = drop_spec("plant.right_knee.torque", name="torque")
+    engine.build_graph(make_scenario(injectors=[torque], **SIX_JOINTS))
+    # the plant's torque feeds inj.torque, whose trigger feeds inj.pos,
+    # whose output the plant's controller reads
+    chained = [drop_spec("plant.right_knee.torque", name="torque", chain_to="pos"),
+               drop_spec("plant.right_knee.pos", name="pos")]
+    with pytest.raises(engine.AlgebraicLoop) as exc_info:
+        engine.build_graph(make_scenario(injectors=chained, **SIX_JOINTS))
+    cycle = exc_info.value.cycle
+    assert cycle[0] == cycle[-1]
+    assert sorted(cycle[1:]) == ["inj.pos", "inj.torque", "plant"]
 
 
 def test_duplicate_block_names_rejected():

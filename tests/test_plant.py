@@ -199,8 +199,9 @@ def step_plant_block(block, targets, dt):
     for k, step_targets in enumerate(targets):
         t = k * dt
         signals = dict(block.state_outputs(t))
-        for (pos, vel, acc), (y, yd, ydd) in zip(block.target_signals, step_targets):
-            signals[pos], signals[vel], signals[acc] = y, yd, ydd
+        for p, triple in zip(block.joints, step_targets):
+            for field, value in zip(("pos", "vel", "acc"), triple):
+                signals[f"dmp.{p.name}.{field}"] = value
         signals.update(block.emit(t, signals, None))
         rows.append([signals[name] for name in block.output_names])
         block.advance(t, signals, dt)
@@ -251,9 +252,11 @@ def test_plant_block_matches_reference_kernels_bit_for_bit():
 def test_plant_block_controller_reads_the_measured_signals_it_is_given():
     p = plant.default_joint_params("right_knee")
     block = plant.PlantBlock("plant", [p], kp=200.0, kd=20.0, theta0=[0.0],
-                             measured_pos=["inj.a.out"], measured_vel=["inj.b.out"])
+                             reads={"plant.right_knee.pos": "inj.a.out",
+                                    "plant.right_knee.vel": "inj.b.out"})
     targets = ("dmp.right_knee.pos", "dmp.right_knee.vel", "dmp.right_knee.acc")
-    assert block.inputs == targets + ("inj.a.out", "inj.b.out")
+    assert block.feedthrough_inputs == targets + ("inj.a.out", "inj.b.out")
+    assert block.inputs == block.feedthrough_inputs + ("plant.right_knee.torque",)
     signals = dict(zip(targets, (0.1, 0.2, 30.0)))
     signals.update({"inj.a.out": -0.05, "inj.b.out": 0.4,
                     "plant.right_knee.pos": 9.0, "plant.right_knee.vel": 9.0})

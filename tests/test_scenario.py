@@ -83,6 +83,17 @@ def test_unknown_target_signal_flagged(tmp_path):
     assert any("does not exist" in v for v in violations)
 
 
+@pytest.mark.parametrize("target", ["plant.left_knee.torque_cmd", "monitor.violations"])
+def test_target_that_no_chain_reaches_flagged_once_per_injector(tmp_path, target):
+    raw = case_study_raw()
+    for spec in raw["injectors"]:
+        spec["target_signal"] = target
+    _, violations = load_scenario_file(write(tmp_path, raw))
+    assert violations == [f"injector '{spec['name']}': target_signal {target!r} is read "
+                          f"through no injector chain, so a fault on it changes nothing"
+                          for spec in raw["injectors"]]
+
+
 def test_unknown_chain_target_flagged(tmp_path):
     raw = case_study_raw()
     raw["injectors"][0]["chain_to"] = "ghost"
