@@ -36,7 +36,8 @@ from . import dmp as dmp_mod
 from . import faults as faults_mod
 from . import plant as plant_mod
 from .blocks import Block
-from .scenario import ClockConfig, ScenarioConfig, base_signal_names, load_demo_csv
+from .scenario import (ClockConfig, ScenarioConfig, injectable_signal_names, load_demo_csv,
+                       read_demo_bytes)
 
 
 class WiringError(Exception):
@@ -262,25 +263,36 @@ def _check_finite(out: dict[str, float], t: float, block: str) -> None:
 
 # One entry: every workload runs a single DMP system per process (a run, a
 # sweep worker's cells, a study's probes), so the last fit is the one reused.
-_dmp_memo: tuple[tuple, dmp_mod.TargetTable] | None = None
+_dmp_memo: tuple[tuple, dmp_mod.TargetTable, list[float]] | None = None
 
 
-def _dmp_targets(cfg: ScenarioConfig, times: np.ndarray, demo: np.ndarray,
-                 joint_names: list[str]) -> dmp_mod.TargetTable:
-    """The fitted primitives and their lazily rolled-out table, reused while
-    everything that determines them is unchanged: the parsed demo (not its
-    path), the DMP settings, the joints and the clock."""
+def _dmp_targets(cfg: ScenarioConfig) -> tuple[dmp_mod.TargetTable, list[float]]:
+    """The fitted primitives with their lazily rolled-out table, and the
+    demo's first row (the plant's initial angles). Both are reused while
+    everything that determines them is unchanged: the demo file's bytes
+    (not its path), the DMP settings, the joints and the clock. Only a new
+    key parses the demo."""
     global _dmp_memo
-    key = (times.tobytes(), demo.shape, demo.tobytes(), cfg.dmp, tuple(joint_names),
-           cfg.clock)
+    data = read_demo_bytes(cfg.demo_path)
+    joint_names = cfg.joint_names
+    # The fit below sets a sweep worker's peak memory. blake2b is built into
+    # Python, where sha256 would page in OpenSSL before it, and the file's
+    # bytes are dropped before it.
+    key = (hashlib.blake2b(data).digest(), cfg.dmp, joint_names, cfg.clock)
     if _dmp_memo is None or _dmp_memo[0] != key:
+        times, demo = load_demo_csv(data)
+        del data
+        if demo.shape[1] != len(joint_names):
+            raise WiringError(f"demo has {demo.shape[1]} joint columns, scenario has "
+                              f"{len(joint_names)} joints")
         params = []
         for j in range(len(joint_names)):
             base = dmp_mod.make_params(tau=1.0, g=0.0, alpha_z=cfg.dmp.alpha_z,
                                        alpha_s=cfg.dmp.alpha_s, n_basis=cfg.dmp.n_basis)
             params.append(dmp_mod.learn_weights(times, demo[:, j], base))
-        _dmp_memo = (key, dmp_mod.TargetTable(params, cfg.clock.dt_s, cfg.clock.n_steps))
-    return _dmp_memo[1]
+        _dmp_memo = (key, dmp_mod.TargetTable(params, cfg.clock.dt_s, cfg.clock.n_steps),
+                     demo[0].tolist())
+    return _dmp_memo[1], _dmp_memo[2]
 
 
 def build_graph(cfg: ScenarioConfig) -> BlockGraph:
@@ -302,7 +314,7 @@ def build_graph(cfg: ScenarioConfig) -> BlockGraph:
 
     Only the monitor reads ``plant.<j>.torque_cmd``, and raw; nothing reads
     ``monitor.violations``. An injector on either would change nothing, so
-    the scenario parser rejects it.
+    it is a ``WiringError`` here and a violation to the scenario parser.
 
     The trajectory generator is open-loop, so its targets depend only on the
     demo, the DMP settings and the clock. They are fitted once per process
@@ -310,11 +322,8 @@ def build_graph(cfg: ScenarioConfig) -> BlockGraph:
     here); later graphs of the same scenario share that table, so the graph
     must run on ``cfg.clock``.
     """
-    times, demo = load_demo_csv(cfg.demo_path)
+    targets, theta0 = _dmp_targets(cfg)
     joint_names = list(cfg.joint_names)
-    if demo.shape[1] != len(joint_names):
-        raise WiringError(f"demo has {demo.shape[1]} joint columns, scenario has "
-                          f"{len(joint_names)} joints")
 
     # chain injectors per target signal, in declaration order
     chained_from: dict[str, list[str]] = {}
@@ -322,24 +331,23 @@ def build_graph(cfg: ScenarioConfig) -> BlockGraph:
         if spec.chain_to is not None:
             chained_from.setdefault(spec.chain_to, []).append(spec.name)
 
-    base_signals = set(base_signal_names(joint_names))
+    injectable = set(injectable_signal_names(joint_names))
     chain_end: dict[str, str] = {}
     injectors = []
     for spec in cfg.injectors:
-        if spec.target_signal not in base_signals:
-            raise WiringError(f"injector {spec.name!r} targets unknown signal "
-                              f"{spec.target_signal!r}")
+        if spec.target_signal not in injectable:
+            raise WiringError(f"injector {spec.name!r} targets {spec.target_signal!r}, "
+                              f"which is no injectable signal")
         upstream = chain_end.get(spec.target_signal, spec.target_signal)
         triggers = tuple(f"inj.{src}.trigger" for src in chained_from.get(spec.name, ()))
         inj = faults_mod.Injector(spec, cfg.clock.dt_s, upstream, triggers)
         chain_end[spec.target_signal] = inj.out_signal
         injectors.append(inj)
 
-    dmp_block = dmp_mod.DmpSystemBlock("dmp", joint_names,
-                                       _dmp_targets(cfg, times, demo, joint_names))
+    dmp_block = dmp_mod.DmpSystemBlock("dmp", joint_names, targets)
     plant_block = plant_mod.PlantBlock(
         "plant", list(cfg.joints), cfg.control.kp, cfg.control.kd,
-        theta0=[float(demo[0, j]) for j in range(len(joint_names))], reads=chain_end,
+        theta0=theta0, reads=chain_end,
     )
     monitor_block = plant_mod.MonitorBlock("monitor", list(cfg.joints))
 

@@ -1,17 +1,20 @@
 """Per-signal fault injector: fault types, activation events, exposure effects.
 
-An injector sits inline on one scalar signal. While armed it passes the
-signal through unchanged and watches its activation event; once active it
-corrupts the signal according to its fault type, for an exposure window drawn
-from its effect model, then re-arms (repeatable effects) or expires. A
-boolean trigger output mirrors the active phase so injectors can be chained:
-a true trigger input forces activation of a downstream armed injector in the
-same step, regardless of the downstream event model.
+An injector sits inline on one scalar signal. Its state is its current
+exposure window, kept as two step indices: it is armed on step ``k`` when
+``k >= _armed_from`` and active when ``k < _active_until``. While armed it
+passes the signal through unchanged and watches its activation event. An
+activation opens a window drawn from the effect model; while it lasts the
+injector corrupts the signal according to its fault type. When it closes the
+injector is armed again (repeatable effects), or never (``Once``, and a
+disabled injector). A boolean trigger output mirrors the active window so
+injectors can be chained: a true trigger input forces activation of a
+downstream armed injector in the same step, regardless of the downstream
+event model.
 """
 
 from __future__ import annotations
 
-import enum
 import math
 import struct
 import sys
@@ -144,17 +147,6 @@ class FaultSpec:
     chain_to: str | None = None
 
 
-class Phase(enum.Enum):
-    ARMED = "armed"
-    ACTIVE = "active"
-    EXPIRED = "expired"
-
-
-# the phases the step path compares against; looking a member up on its
-# enum class costs more than the rest of a common step
-_ARMED, _ACTIVE = Phase.ARMED, Phase.ACTIVE
-
-
 # --------------------------------------------------------------------------
 # stochastic draws
 
@@ -211,6 +203,13 @@ def mask_from_positions(positions) -> int:
 class Injector(Block):
     """Stateful fault injector on one scalar signal, with trigger chaining.
 
+    On step ``k`` the injector is armed if ``k >= _armed_from`` and active
+    if ``k < _active_until``; the two never hold at once. A run starts armed
+    from step 0 (never, if disabled) with no window open. An activation on
+    step ``k`` opens the window ``[k, k + steps)`` (``[k, inf)`` for a window
+    to the end of the run) and arms the injector again where it closes
+    (never after a ``Once`` window).
+
     ``trigger_sources`` are the trigger-output signal names of upstream
     injectors chained into this one; any of them being true forces
     activation while armed.
@@ -250,11 +249,10 @@ class Injector(Block):
         self.reset()
 
     def reset(self) -> None:
-        self._phase = Phase.ARMED
+        self._armed_from = 0 if self.enabled else math.inf
+        self._active_until = 0
         self._held = 0.0
         self._step_idx = 0
-        self._act_step = -1
-        self._steps_left: int | None = 0
         self._scheduled_t: float | None = None
         self._mask = self._fixed_mask or 0
         # no run has more steps than a deque can hold
@@ -272,7 +270,7 @@ class Injector(Block):
         if k == 0:
             self._held = x
 
-        if self._phase is _ARMED and self.enabled:
+        if k >= self._armed_from:
             if trigger_in:
                 fires = True
             elif self._p is not None:
@@ -285,16 +283,12 @@ class Injector(Block):
                     self._dbuf.append(x)
                 return x, False
             self._activate(k, rng)
-            if self._phase is _ARMED:  # zero-length window
+            if k >= self._active_until:  # zero-length window
                 self._held = x
 
         y, trig = x, False
-        if self._phase is _ACTIVE and self.enabled:
+        if k < self._active_until:
             y, trig = self._apply(x, k, rng), True
-            if self._steps_left is not None:
-                self._steps_left -= 1
-                if self._steps_left == 0:
-                    self._deactivate()
         if self._dbuf is not None:
             self._dbuf.append(x)
         return y, trig
@@ -311,21 +305,14 @@ class Injector(Block):
         steps = None if math.isinf(steps) else round(steps)
         if steps == 0:
             return  # degenerate empty window: stay armed
-        self._phase = Phase.ACTIVE
-        self._act_step = k
-        self._steps_left = steps
+        self._active_until = math.inf if steps is None else k + steps
+        self._armed_from = math.inf if isinstance(self.spec.effect, Once) else self._active_until
+        self._scheduled_t = None  # re-sample activation time on the next armed step
         self.activations.append((k, steps))
         ft = self.spec.fault_type
         if isinstance(ft, BitFlip) and self._fixed_mask is None:
             positions = rng.choice(64, size=ft.n_bits, replace=False)
             self._mask = mask_from_positions(positions)
-
-    def _deactivate(self) -> None:
-        if isinstance(self.spec.effect, Once):
-            self._phase = Phase.EXPIRED
-        else:
-            self._phase = Phase.ARMED
-            self._scheduled_t = None  # re-sample activation time on next armed step
 
     # -- fault types: the output of one active step ---------------------------
 
@@ -348,7 +335,7 @@ class Injector(Block):
         return y
 
     def _time_delay(self, x: float, k: int, rng) -> float:
-        if k - self._act_step < self._delay_steps:
+        if k - self.activations[-1][0] < self._delay_steps:
             return self._held
         return self._dbuf[0]  # input from delay_steps ago; buffer is full here
 

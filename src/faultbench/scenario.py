@@ -22,6 +22,9 @@ A scenario is a single JSON object:
       "seed":     0
     }
 
+A key that the schema does not name is a violation, in every object.
+Injector names consist of letters, digits, ``_`` and ``-``.
+
 Numeric fields carry their unit as a suffix except inside ``fault_type`` /
 ``event`` / ``effect``, whose keys mirror the fault model fields verbatim
 (``p``, ``mttf``, ``sigma``, ``duration``, ``mttr``, ``delay``,
@@ -33,8 +36,10 @@ and radians, one column per configured joint, uniformly sampled.
 
 from __future__ import annotations
 
+import io
 import json
 import math
+import re
 from dataclasses import MISSING, dataclass, fields, replace
 from importlib import resources
 from pathlib import Path
@@ -111,6 +116,17 @@ def base_signal_names(joint_names) -> list[str]:
         names += [f"plant.{j}.pos", f"plant.{j}.vel",
                   f"plant.{j}.torque", f"plant.{j}.torque_cmd"]
     names.append("monitor.violations")
+    return names
+
+
+def injectable_signal_names(joint_names) -> list[str]:
+    """The signals an injector may target: those some block reads through
+    the injector chain. Only the monitor reads ``plant.<j>.torque_cmd``, and
+    raw; nothing reads ``monitor.violations``."""
+    names = []
+    for j in joint_names:
+        names += [f"dmp.{j}.pos", f"dmp.{j}.vel", f"dmp.{j}.acc",
+                  f"plant.{j}.pos", f"plant.{j}.vel", f"plant.{j}.torque"]
     return names
 
 
@@ -213,10 +229,17 @@ def _obj(raw, errs: list[str], ctx: str) -> dict:
     return {}
 
 
+def _check_fields(raw: dict, known, errs: list[str], ctx: str) -> None:
+    """One violation per key of ``raw`` that ``known`` does not hold."""
+    errs.extend(f"{ctx}: unknown field {key!r}" for key in raw if key not in known)
+
+
 def _build(cls, rules: dict, raw: dict, errs: list[str], ctx: str, **fixed):
     """``cls`` from the fields of ``raw`` that ``rules`` names, each checked
-    against its rule, plus the ``fixed`` fields."""
+    against its rule, plus the ``fixed`` fields. A key of ``raw`` that names
+    no field of ``cls`` is a violation."""
     defaults = {f.name: f.default for f in fields(cls)}
+    _check_fields(raw, defaults, errs, ctx)
     return cls(**{key: _num(raw, key, errs, ctx, rule, defaults[key])
                   for key, rule in rules.items()}, **fixed)
 
@@ -224,8 +247,8 @@ def _build(cls, rules: dict, raw: dict, errs: list[str], ctx: str, **fixed):
 def _parse_kind(part: str, raw, errs: list[str], ctx: str):
     """An injector's ``part`` ("fault_type", "event" or "effect"); None if
     its kind is unknown."""
-    raw = _obj(raw, errs, ctx)
-    kind = raw.get("kind")
+    raw = dict(_obj(raw, errs, ctx))
+    kind = raw.pop("kind", None)
     cls, rules = _FAULT_KINDS[part].get(kind if isinstance(kind, str) else "", (None, None))
     if cls is None:
         errs.append(f"{ctx}: unknown {part} kind {kind!r}")
@@ -260,6 +283,7 @@ def _parse_joint(raw, errs, i) -> plant.JointParams | None:
     if name not in plant.JOINT_NAMES:
         errs.append(f"{ctx}: name must be one of {', '.join(plant.JOINT_NAMES)}; got {name!r}")
         return None
+    _check_fields(raw, ("name", *(key for key, *_ in _JOINT_FIELDS)), errs, ctx)
     overrides = {}
     for key, attr, unit, rule in _JOINT_FIELDS:
         if key in raw:
@@ -276,10 +300,8 @@ def parse_scenario(raw: dict, base_dir: Path) -> tuple[ScenarioConfig, list[str]
     errs: list[str] = []
     if not isinstance(raw, dict):
         raise ScenarioParseError("scenario must be a JSON object")
-    known = {"clock", "joints", "dmp", "control", "injectors", "monitors", "seed"}
-    for key in raw:
-        if key not in known:
-            errs.append(f"unknown top-level field {key!r}")
+    _check_fields(raw, ("clock", "joints", "dmp", "control", "injectors", "monitors", "seed"),
+                  errs, "scenario")
 
     draw = _obj(raw.get("dmp", {}), errs, "dmp")
     demo_file = draw.get("demo_file", DmpConfig.demo_file)
@@ -314,8 +336,9 @@ def parse_scenario(raw: dict, base_dir: Path) -> tuple[ScenarioConfig, list[str]
 
     injectors = _parse_injectors(raw.get("injectors", []), errs, joints, clock)
 
-    mraw = raw.get("monitors", {})
-    mon_signals = mraw.get("signals") if isinstance(mraw, dict) else None
+    mraw = _obj(raw.get("monitors", {}), errs, "monitors")
+    _check_fields(mraw, [f.name for f in fields(MonitorConfig)], errs, "monitors")
+    mon_signals = mraw.get("signals")
     if mon_signals is not None:
         if not isinstance(mon_signals, list) or not all(isinstance(s, str) for s in mon_signals):
             errs.append("monitors: signals must be an array of signal names")
@@ -353,6 +376,9 @@ def parse_scenario(raw: dict, base_dir: Path) -> tuple[ScenarioConfig, list[str]
     return cfg, errs
 
 
+_INJECTOR_NAME = re.compile(r"[A-Za-z0-9_-]+")
+
+
 def _parse_injectors(raw, errs, joints, clock) -> tuple[faults.FaultSpec, ...]:
     if not isinstance(raw, list):
         errs.append("injectors: must be an array")
@@ -363,10 +389,14 @@ def _parse_injectors(raw, errs, joints, clock) -> tuple[faults.FaultSpec, ...]:
         if not isinstance(item, dict):
             errs.append(f"{ctx}: must be an object")
             continue
+        _check_fields(item, [f.name for f in fields(faults.FaultSpec)], errs, ctx)
         name = item.get("name")
         if not isinstance(name, str) or not name:
             errs.append(f"{ctx}: missing injector name")
             name = f"injector_{i}"
+        elif not _INJECTOR_NAME.fullmatch(name):
+            # the name is part of signal names and trace.csv column headers
+            errs.append(f"{ctx}: name {name!r} must consist of letters, digits, '_' and '-'")
         target = item.get("target_signal")
         if not isinstance(target, str):
             errs.append(f"{ctx}: missing target_signal")
@@ -388,14 +418,14 @@ def _parse_injectors(raw, errs, joints, clock) -> tuple[faults.FaultSpec, ...]:
     names = [s.name for s in specs]
     if len(set(names)) != len(names):
         errs.append("injectors: names must be unique")
-    produced = set(base_signal_names([p.name for p in joints]))
-    # the monitor reads raw signals, and nothing reads its output
-    unread = {"monitor.violations", *(f"plant.{p.name}.torque_cmd" for p in joints)}
+    joint_names = [p.name for p in joints]
+    produced = set(base_signal_names(joint_names))
+    injectable = set(injectable_signal_names(joint_names))
     for s in specs:
         ctx = f"injector '{s.name}'"
         if s.target_signal not in produced:
             errs.append(f"{ctx}: target_signal {s.target_signal!r} does not exist")
-        elif s.target_signal in unread:
+        elif s.target_signal not in injectable:
             errs.append(f"{ctx}: target_signal {s.target_signal!r} is read through no "
                         f"injector chain, so a fault on it changes nothing")
         if s.chain_to is not None:
@@ -471,10 +501,12 @@ def set_faults_enabled(cfg: ScenarioConfig, enabled: bool) -> ScenarioConfig:
 # demonstration trajectories
 
 
-def load_demo_csv(path) -> tuple[np.ndarray, np.ndarray]:
-    """Read a demo CSV ``t, joint_0, ...``; returns (times, positions[n, j])."""
+def load_demo_csv(source) -> tuple[np.ndarray, np.ndarray]:
+    """Read a demo CSV ``t, joint_0, ...`` from its path or from the file's
+    bytes; returns (times, positions[n, j])."""
     try:
-        with open(path) as fh:
+        with (io.TextIOWrapper(io.BytesIO(source)) if isinstance(source, bytes)
+              else open(source)) as fh:
             header = [name.strip() for name in fh.readline().split(",")]
             if header[0] != "t":
                 raise ValueError("demo CSV must have header 't, joint_0, ...'")
@@ -489,3 +521,11 @@ def load_demo_csv(path) -> tuple[np.ndarray, np.ndarray]:
     if table.shape[1] < 2:
         raise ValueError("demo has no joint columns")
     return table[:, 0], table[:, 1:]
+
+
+def read_demo_bytes(path) -> bytes:
+    """The bytes of a demo file; ValueError if it cannot be read."""
+    try:
+        return Path(path).read_bytes()
+    except OSError as exc:
+        raise ValueError(str(exc)) from exc

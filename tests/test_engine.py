@@ -42,9 +42,12 @@ def test_case_study_chains_trigger(case_study_cfg):
 
 
 def test_unknown_target_signal_is_wiring_error():
-    cfg = make_scenario(injectors=[stuck_spec(target="plant.right_knee.bogus")])
-    with pytest.raises(engine.WiringError):
-        engine.build_graph(cfg)
+    # the last two exist, but no block reads them through an injector chain
+    for target in ("plant.right_knee.bogus", "plant.right_knee.torque_cmd",
+                   "monitor.violations"):
+        cfg = make_scenario(injectors=[stuck_spec(target=target)])
+        with pytest.raises(engine.WiringError):
+            engine.build_graph(cfg)
 
 
 def test_mutual_trigger_chain_is_algebraic_loop():
@@ -534,6 +537,19 @@ def test_what_determines_the_table_gets_a_fresh_one(rollouts, tmp_path):
     assert longer is not stiffer
     assert longer.rows.shape == (300, 3)
     assert len(rollouts) == 4
+
+
+def test_a_second_build_does_not_parse_the_demo(rollouts, monkeypatch):
+    cfg = make_scenario(t_end=0.2)
+    first = engine.build_graph(cfg)
+
+    def parse_again(source):
+        raise AssertionError("the demo was parsed again")
+
+    monkeypatch.setattr(engine, "load_demo_csv", parse_again)
+    second = engine.build_graph(cfg)
+    assert second.block("dmp").targets is first.block("dmp").targets
+    assert second.block("plant").theta0 == first.block("plant").theta0
 
 
 def test_dmp_block_rejects_another_step_size(minimal_cfg):

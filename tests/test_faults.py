@@ -163,12 +163,13 @@ def test_bit_flip_random_positions_fixed_within_window():
 
 
 @given(xs=st.lists(st.floats(-1e9, 1e9), min_size=1, max_size=50),
-       seed=st.integers(0, 2**31))
+       seed=st.integers(0, 2**31), triggered=st.booleans())
 @settings(max_examples=60)
-def test_identity_when_disabled(xs, seed):
+def test_identity_when_disabled(xs, seed, triggered):
     inj = make_injector(faults.Noise(boundary_pct=50.0),
                         event=faults.FailureProbability(1.0), enabled=False)
-    outs, trigs = drive(inj, xs, seed=seed)
+    # a true trigger input does not force a disabled injector either
+    outs, trigs = drive(inj, xs, triggers=[triggered] * len(xs), seed=seed)
     assert outs == [float(x) for x in xs]
     assert not any(trigs)
     assert inj.activations == []
@@ -216,13 +217,15 @@ def test_window_too_long_to_count_lasts_to_the_end():
 
 
 def test_once_single_sample_never_rearms():
-    inj = make_injector(faults.Bias(offset=1.0), event=faults.FailureProbability(1.0),
-                        effect=faults.Once())
-    outs, trigs = drive(inj, [0.0] * 10)
-    assert outs[0] == 1.0
-    assert outs[1:] == [0.0] * 9  # expired despite p = 1
-    assert trigs == [True] + [False] * 9
-    assert inj.activations == [(0, 1)]
+    # expired despite p = 1, and despite a true trigger input
+    for triggers in (None, [True] * 10):
+        inj = make_injector(faults.Bias(offset=1.0), event=faults.FailureProbability(1.0),
+                            effect=faults.Once())
+        outs, trigs = drive(inj, [0.0] * 10, triggers=triggers)
+        assert outs[0] == 1.0
+        assert outs[1:] == [0.0] * 9
+        assert trigs == [True] + [False] * 9
+        assert inj.activations == [(0, 1)]
 
 
 def test_infinite_time_until_end():
@@ -271,12 +274,20 @@ def test_sample_activation_time_truncated_at_dt():
 
 
 def test_mttf_fires_at_scheduled_step():
-    inj = make_injector(faults.Bias(offset=1.0),
-                        event=faults.MeanTimeToFailure(mttf=5 * DT, sigma=0.0),
-                        effect=faults.ConstantTime(2 * DT))
-    outs, _ = drive(inj, [0.0] * 12)
-    # armed at step 0, scheduled 5 steps later
-    assert outs == [0.0] * 5 + [1.0, 1.0] + [0.0] * 5
+    for triggers, expected, log in (
+        # armed at step 0, scheduled 5 steps later
+        (None, [0.0] * 5 + [1.0, 1.0] + [0.0] * 5, [(5, 2)]),
+        # a trigger opens the window before the scheduled step; the schedule
+        # is redrawn on the first armed step after it (step 3, so step 8)
+        ([False, True] + [False] * 10, [0.0, 1.0, 1.0] + [0.0] * 5 + [1.0, 1.0, 0.0, 0.0],
+         [(1, 2), (8, 2)]),
+    ):
+        inj = make_injector(faults.Bias(offset=1.0),
+                            event=faults.MeanTimeToFailure(mttf=5 * DT, sigma=0.0),
+                            effect=faults.ConstantTime(2 * DT))
+        outs, _ = drive(inj, [0.0] * 12, triggers=triggers)
+        assert outs == expected
+        assert inj.activations == log
 
 
 def test_sample_exposure_values():

@@ -94,6 +94,39 @@ def test_target_that_no_chain_reaches_flagged_once_per_injector(tmp_path, target
                           for spec in raw["injectors"]]
 
 
+@pytest.mark.parametrize("where, ctx, key", [
+    (("clock",), "clock", "dt"),  # was accepted, and the run kept the default dt_s
+    (("dmp",), "dmp", "alpha"),
+    (("control",), "control", "Kp"),
+    (("joints", 0), "joints[0]", "inertia"),
+    (("injectors", 0), "injectors[0]", "chain-to"),  # was accepted, and the chain dropped
+    # bit_positions is a field of bit_flip only
+    (("injectors", 0, "fault_type"), "injectors[0].fault_type", "bit_positions"),
+    (("injectors", 0, "event"), "injectors[0].event", "sigmaa"),
+    (("injectors", 0, "effect"), "injectors[0].effect", "duration_s"),
+    (("monitors",), "monitors", "signal"),
+])
+def test_unknown_field_is_one_violation_per_key(tmp_path, where, ctx, key):
+    raw = case_study_raw()
+    raw["monitors"] = {"signals": ["plant.right_knee.pos"]}
+    section = raw
+    for step in where:
+        section = section[step]
+    section[key] = section[key + "2"] = 0.01
+    _, violations = load_scenario_file(write(tmp_path, raw))
+    assert violations == [f"{ctx}: unknown field {key!r}", f"{ctx}: unknown field {key + '2'!r}"]
+
+
+@pytest.mark.parametrize("name", ["pos,stuck", "pos\nstuck", "pos stuck", "knee.pos"])
+def test_injector_name_outside_letters_digits_underscore_dash_flagged(tmp_path, name):
+    # a comma or a newline in a name once split trace.csv's header line
+    raw = case_study_raw()
+    raw["injectors"][1]["name"] = raw["injectors"][0]["chain_to"] = name
+    _, violations = load_scenario_file(write(tmp_path, raw))
+    assert violations == [f"injectors[1]: name {name!r} must consist of letters, digits, "
+                          f"'_' and '-'"]
+
+
 def test_unknown_chain_target_flagged(tmp_path):
     raw = case_study_raw()
     raw["injectors"][0]["chain_to"] = "ghost"
@@ -135,6 +168,9 @@ def test_bit_flip_position_validation(tmp_path):
     })
     _, violations = load_scenario_file(write(tmp_path, raw))
     assert any("distinct" in v for v in violations)
+    raw["injectors"][-1]["fault_type"]["bit_positions"] = [3, 4]
+    _, violations = load_scenario_file(write(tmp_path, raw))
+    assert violations == []
 
 
 def test_duplicate_monitor_signal_flagged(tmp_path):
