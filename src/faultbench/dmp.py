@@ -273,14 +273,26 @@ class DmpSystemBlock(Block):
     by the scenario, so the block reads them row by row from a shared
     ``TargetTable``, which rolls the primitives out on the first step of the
     first run that uses it.
+
+    ``indices`` are the positions in the table of ``joint_names``' primitives
+    (by default all of them, in order). The block reads those joints'
+    columns, a chunk of rows at a time.
     """
 
-    def __init__(self, name: str, joint_names: list[str], targets: TargetTable):
-        if len(joint_names) != len(targets.params):
+    def __init__(self, name: str, joint_names: list[str], targets: TargetTable,
+                 indices: list[int] | None = None):
+        if indices is None:
+            indices = range(len(targets.params))
+        if len(joint_names) != len(indices):
             raise ValueError("one parameter set per joint required")
         self.name = name
         self.joint_names = list(joint_names)
         self.targets = targets
+        columns = [3 * i + field for i in indices for field in range(3)]
+        start = columns[0] if columns else 0
+        # contiguous columns are read through a view of each chunk, not a copy
+        self._columns = (slice(start, start + len(columns))
+                         if columns == list(range(start, start + len(columns))) else columns)
         self.state_output_names = tuple(
             f"dmp.{j}.{field}" for j in joint_names for field in ("pos", "vel", "acc")
         )
@@ -295,7 +307,8 @@ class DmpSystemBlock(Block):
         i = self.k - self._chunk_start
         if not 0 <= i < len(self._chunk):
             self._chunk_start = self.k
-            self._chunk = self.targets.rows[self.k:self.k + ROLLOUT_CHUNK].tolist()
+            rows = self.targets.rows[self.k:self.k + ROLLOUT_CHUNK]
+            self._chunk = rows[:, self._columns].tolist()
             i = 0
         return dict(zip(self.state_output_names, self._chunk[i]))
 

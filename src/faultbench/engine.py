@@ -295,7 +295,7 @@ def _dmp_targets(cfg: ScenarioConfig) -> tuple[dmp_mod.TargetTable, list[float]]
     return _dmp_memo[1], _dmp_memo[2]
 
 
-def build_graph(cfg: ScenarioConfig) -> BlockGraph:
+def build_graph(cfg: ScenarioConfig, joints: tuple[str, ...] | None = None) -> BlockGraph:
     """Wire trajectory generator, plant, injectors, and monitor as declared.
 
     Injectors targeting the same signal are chained in declaration order;
@@ -321,9 +321,18 @@ def build_graph(cfg: ScenarioConfig) -> BlockGraph:
     and rolled out on the first step of the first run of the graph (not
     here); later graphs of the same scenario share that table, so the graph
     must run on ``cfg.clock``.
+
+    ``joints`` names the joints the graph holds (by default all of them),
+    kept in declaration order. The trajectory generator reads their columns
+    of the whole scenario's table, the plant and the monitor take only
+    them, and every injector must target one of them.
     """
     targets, theta0 = _dmp_targets(cfg)
-    joint_names = list(cfg.joint_names)
+    unknown = set(joints or ()) - set(cfg.joint_names)
+    if unknown:
+        raise WiringError(f"the scenario has no joint {sorted(unknown)}")
+    indices = [i for i, name in enumerate(cfg.joint_names) if joints is None or name in joints]
+    joint_names = [cfg.joint_names[i] for i in indices]
 
     # chain injectors per target signal, in declaration order
     chained_from: dict[str, list[str]] = {}
@@ -344,12 +353,13 @@ def build_graph(cfg: ScenarioConfig) -> BlockGraph:
         chain_end[spec.target_signal] = inj.out_signal
         injectors.append(inj)
 
-    dmp_block = dmp_mod.DmpSystemBlock("dmp", joint_names, targets)
+    joint_params = [cfg.joints[i] for i in indices]
+    dmp_block = dmp_mod.DmpSystemBlock("dmp", joint_names, targets, indices)
     plant_block = plant_mod.PlantBlock(
-        "plant", list(cfg.joints), cfg.control.kp, cfg.control.kd,
-        theta0=theta0, reads=chain_end,
+        "plant", joint_params, cfg.control.kp, cfg.control.kd,
+        theta0=[theta0[i] for i in indices], reads=chain_end,
     )
-    monitor_block = plant_mod.MonitorBlock("monitor", list(cfg.joints))
+    monitor_block = plant_mod.MonitorBlock("monitor", joint_params)
 
     blocks = [dmp_block, plant_block, monitor_block] + injectors
     return BlockGraph(blocks, monitored=cfg.monitors.signals)

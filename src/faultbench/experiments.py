@@ -3,14 +3,18 @@
 Every run, single or in a sweep, goes through :func:`simulate`. For every
 (duration, seed) cell a sweep runs the scenario twice with the same seed:
 once with all injectors disabled (the fault-free reference, or golden run)
-and once with them enabled (faulty). Today the reference depends on neither
-seed nor duration, since a disabled injector passes its input through without
-drawing from its RNG stream and the DMP, plant and monitor draw nothing; the
-per-cell pairing keeps it right if a block ever does draw.
+and once with them enabled (faulty). The reference simulates every joint. The
+faulty run simulates only the joints some injector targets, and the cell is
+classified from its safety violations merged with the reference's on the
+other joints, in the monitor's order. That is exact: the DMP is open-loop
+per joint, every injectable signal names one joint and only that joint's
+controller or dynamics read it, and the monitor checks each joint's raw
+signals on their own, so a joint no injector targets follows the reference
+bit for bit.
 Root-mean-square error between a cell's faulty run and the reference on the
 faulted joint (angle, angular velocity, applied torque) quantifies the fault
-impact; the safety monitor of the faulty run classifies the cell as Nominal,
-Error, or Failure. Whatever the scenario's ``monitors`` list says, both runs
+impact; the merged violations classify the cell as Nominal, Error, or
+Failure. Whatever the scenario's ``monitors`` list says, both runs
 of a cell record exactly the three columns the cell reads: the faulted
 joint's angle, angular velocity and applied torque. The cell's activation
 windows come from the primary injector's activation log, with a window that
@@ -114,12 +118,13 @@ class RunOutput:
     activations: dict[str, tuple[tuple[int, int | None], ...]]
 
 
-def simulate(cfg: ScenarioConfig, seed: int | None = None,
-             faults_enabled: bool = True) -> RunOutput:
-    """Build and execute one run; seed defaults to the scenario seed."""
+def simulate(cfg: ScenarioConfig, seed: int | None = None, faults_enabled: bool = True,
+             joints: tuple[str, ...] | None = None) -> RunOutput:
+    """Build and execute one run; seed defaults to the scenario seed, and
+    ``joints`` cuts the graph to those joints (see ``engine.build_graph``)."""
     if not faults_enabled:
         cfg = set_faults_enabled(cfg, False)
-    graph = engine.build_graph(cfg)
+    graph = engine.build_graph(cfg, joints)
     trace = engine.run(graph, cfg.clock, cfg.seed if seed is None else seed)
     violations = tuple(graph.block("monitor").violations)
     activations = {b.spec.name: tuple(b.activations) for b in graph.blocks
@@ -211,16 +216,35 @@ def _joint_columns(trace: engine.TraceLog, joint: str) -> tuple[np.ndarray, ...]
     return tuple(trace.signal(name) for name in _joint_signals(joint))
 
 
+def _faulted_joints(cfg: ScenarioConfig) -> tuple[str, ...]:
+    """The joints some injector targets, in declaration order."""
+    targeted = {spec.target_signal.split(".")[1] for spec in cfg.injectors}
+    return tuple(j for j in cfg.joint_names if j in targeted)
+
+
+def _merged_violations(cut, joints, reference, joint_names) -> list[ViolationRecord]:
+    """The violations of a run cut to ``joints`` and the reference's on the
+    other joints, in ``plant.monitor``'s order: by step, then by joint
+    declaration order, each joint's records in the order they were made."""
+    order = {j: i for i, j in enumerate(joint_names)}
+    merged = list(cut) + [v for v in reference if v.joint not in joints]
+    return sorted(merged, key=lambda v: (v.t, order[v.joint]))
+
+
 def _run_cell(cfg: ScenarioConfig, varied: tuple[str, ...], primary: str,
               joint: str, duration: float, seed_index: int,
               base_seed: int) -> CellResult:
     seed = cell_seed(base_seed, seed_index)
     reference = simulate(cfg, seed=seed, faults_enabled=False)
+    joints = _faulted_joints(cfg)
     try:
-        out = simulate(with_injector_durations(cfg, varied, duration), seed=seed)
+        out = simulate(with_injector_durations(cfg, varied, duration), seed=seed,
+                       joints=joints)
     except engine.NumericalDivergence as exc:
         raise engine.NumericalDivergence(exc.t, exc.block, exc.signal, exc.value,
                                          cell=(duration, seed_index)) from None
+    violations = _merged_violations(out.violations, joints, reference.violations,
+                                    cfg.joint_names)
 
     n_act, min_gap = _activation_windows(out.activations[primary], cfg.clock.dt_s)
     rmse_pos, rmse_vel, rmse_torque = map(rmse, _joint_columns(out.trace, joint),
@@ -231,7 +255,7 @@ def _run_cell(cfg: ScenarioConfig, varied: tuple[str, ...], primary: str,
         rmse_pos=rmse_pos,
         rmse_vel=rmse_vel,
         rmse_torque=rmse_torque,
-        classification=out.classification,
+        classification=classify_run(violations),
         n_activations=n_act,
         min_gap_s=min_gap,
     )

@@ -240,6 +240,13 @@ class Injector(Block):
             self._fixed_mask = None
         # the per-step activation probability, or None for a scheduled event
         self._p = spec.event.p if isinstance(spec.event, FailureProbability) else None
+        # A draw against p = 0 never fires. Where nothing else reads the generator
+        # (no noise, no drawn bit positions or repair time) it is skipped,
+        # which changes no output; elsewhere it keeps the stream's place.
+        draws_elsewhere = (isinstance(ft, Noise)
+                           or isinstance(ft, BitFlip) and self._fixed_mask is None
+                           or isinstance(spec.effect, MeanTimeToRepair) and spec.effect.sigma > 0.0)
+        self._draws_p = self._p is not None and (self._p > 0.0 or draws_elsewhere)
         appliers = {StuckAt: self._stuck_at, PackageDrop: self._package_drop,
                     Bias: self._bias, Noise: self._noise, TimeDelay: self._time_delay,
                     BitFlip: self._bit_flip}
@@ -274,7 +281,7 @@ class Injector(Block):
             if trigger_in:
                 fires = True
             elif self._p is not None:
-                fires = rng.random() < self._p
+                fires = self._draws_p and rng.random() < self._p
             else:
                 fires = self._scheduled_time_reached(t, rng)
             if not fires:  # the common step: pass the sample through

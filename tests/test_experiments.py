@@ -1,5 +1,6 @@
 """RMSE, classification, quadratic fits, and the sweep harness."""
 
+import itertools
 import json
 import math
 from dataclasses import replace
@@ -9,11 +10,14 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from faultbench import engine, faults
 from faultbench import experiments as ex
-from faultbench.plant import ViolationKind, ViolationRecord
-from faultbench.scenario import ClockConfig, MonitorConfig
+from faultbench.plant import (DEG, JOINT_NAMES, ViolationKind, ViolationRecord,
+                              default_joint_params)
+from faultbench.scenario import ClockConfig, MonitorConfig, with_injector_durations
 
 from conftest import make_scenario, stuck_spec
+from test_faults import PATH_INJECTORS
 
 
 # --------------------------------------------------------------------------
@@ -297,8 +301,8 @@ def spy_simulate(monkeypatch):
     runs = []
     simulate = ex.simulate
 
-    def spy(cfg, seed=None, faults_enabled=True):
-        out = simulate(cfg, seed=seed, faults_enabled=faults_enabled)
+    def spy(cfg, seed=None, faults_enabled=True, **kwargs):
+        out = simulate(cfg, seed=seed, faults_enabled=faults_enabled, **kwargs)
         runs.append((faults_enabled, cfg.monitors.signals, out.trace.columns))
         return out
     monkeypatch.setattr(ex, "simulate", spy)
@@ -442,3 +446,91 @@ def test_divergence_carries_cell_context_across_processes():
     assert exc_info.value.cell == (0.05, 0)
     clone = pickle.loads(pickle.dumps(exc_info.value))
     assert clone.cell == (0.05, 0) and clone.block == "inj.inf_drop"
+
+
+# --------------------------------------------------------------------------
+# a sweep cell's faulty run simulates only the faulted joints
+
+
+def six_joints(t_end, limits=None, injectors=()):
+    """The case-study joints on the gait demo, with ``limits`` giving a
+    joint's ``rot_max`` [deg] in place of its default."""
+    cfg = make_scenario(joints=JOINT_NAMES, demo="demo_gait.csv", t_end=t_end,
+                        injectors=injectors)
+    joints = tuple(default_joint_params(p.name, rot_max=limits[p.name] * DEG)
+                   if p.name in (limits or {}) else p for p in cfg.joints)
+    return replace(cfg, joints=joints)
+
+
+# Both hips leave a tight range of travel in the fault-free run, left_hip
+# from step 0 and right_hip from about step 270, so the reference's records
+# interleave with a cut run's.
+TIGHT_HIPS = {"left_hip": 8.3, "right_hip": 8.7}
+# every fault path, and a bias on a DMP target
+CUT_INJECTORS = PATH_INJECTORS + [faults.FaultSpec(
+    name="target", target_signal="dmp.right_ankle.pos", fault_type=faults.Bias(0.05),
+    event=faults.FailureProbability(0.004), effect=faults.ConstantTime(0.05))]
+CUT_SEED = 2  # every enabled injector fires within 0.7 s
+
+
+@pytest.fixture(scope="module")
+def tight_hips_reference():
+    return ex.simulate(six_joints(0.7, TIGHT_HIPS), seed=CUT_SEED, faults_enabled=False)
+
+
+@pytest.mark.parametrize("subset", [
+    subset for r in range(1, len(JOINT_NAMES) + 1)
+    for subset in itertools.combinations(JOINT_NAMES, r)], ids="+".join)
+def test_a_run_cut_to_its_faulted_joints_matches_the_full_run(subset, tight_hips_reference):
+    injectors = [s for s in CUT_INJECTORS if s.target_signal.split(".")[1] in subset]
+    cfg = six_joints(0.7, TIGHT_HIPS, injectors)
+    full = ex.simulate(cfg, seed=CUT_SEED)
+    cut = ex.simulate(cfg, seed=CUT_SEED, joints=subset)
+    assert ex._faulted_joints(cfg) == subset
+    cut_away = set(JOINT_NAMES) - set(subset)
+    assert cut.trace.columns == tuple(c for c in full.trace.columns
+                                      if c.split(".")[1] not in cut_away)
+    for column in cut.trace.columns:
+        if column != "monitor.violations":  # counts the cut joints' records only
+            assert np.array_equal(cut.trace.signal(column), full.trace.signal(column)), column
+    assert cut.activations == full.activations
+    assert ex._merged_violations(cut.violations, subset, tight_hips_reference.violations,
+                                 cfg.joint_names) == list(full.violations)
+
+
+def test_the_cut_runs_fire_every_fault_path_and_the_hips_interleave(tight_hips_reference):
+    full = ex.simulate(six_joints(0.7, TIGHT_HIPS, CUT_INJECTORS), seed=CUT_SEED)
+    assert [name for name, log in full.activations.items() if not log] == ["off"]
+    steps = {j: {round(v.t / 1e-3) for v in tight_hips_reference.violations if v.joint == j}
+             for j in TIGHT_HIPS}
+    assert steps["left_hip"] & steps["right_hip"]
+
+
+def test_a_cell_is_classified_from_the_reference_on_the_joints_it_cuts():
+    # right_knee is faulted; left_hip violates in the fault-free run already
+    cfg = six_joints(0.3, {"left_hip": 8.3}, chained_pair())
+    plan = ex.SweepPlan(scenario=cfg, durations=(0.05,), seeds_per_duration=1)
+    faulty = with_injector_durations(cfg, plan.resolved_varied(), 0.05)
+    seed = ex.cell_seed(0, 0)
+    assert ex.simulate(faulty, seed=seed, joints=("right_knee",)).classification \
+        is ex.Classification.NOMINAL
+    full = ex.simulate(faulty, seed=seed)
+    assert full.classification is ex.Classification.FAILURE
+    assert ex.run_sweep(plan).cells[0].classification is full.classification
+
+
+def test_a_diverging_cut_cell_raises_what_the_full_run_raised():
+    flip = faults.FaultSpec(
+        name="exp_flip", target_signal="plant.right_knee.pos",
+        fault_type=faults.BitFlip(n_bits=1, bit_positions=(62,)),
+        event=faults.MeanTimeToFailure(0.1, 0.02), effect=faults.ConstantTime(0.05))
+    cfg = six_joints(0.3, injectors=[flip])
+    plan = ex.SweepPlan(scenario=cfg, durations=(0.05,), seeds_per_duration=1)
+    with pytest.raises(engine.NumericalDivergence) as full:
+        ex.simulate(with_injector_durations(cfg, ("exp_flip",), 0.05), seed=ex.cell_seed(0, 0))
+    with pytest.raises(engine.NumericalDivergence) as cut:
+        ex.run_sweep(plan)
+    expected = full.value
+    assert (cut.value.t, cut.value.block, cut.value.signal, cut.value.cell) \
+        == (expected.t, expected.block, expected.signal, (0.05, 0))
+    assert np.array_equal([cut.value.value], [expected.value], equal_nan=True)

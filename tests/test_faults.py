@@ -290,6 +290,42 @@ def test_mttf_fires_at_scheduled_step():
         assert inj.activations == log
 
 
+class CountingRng:
+    """A generator that counts the draws taken from it."""
+
+    def __init__(self, seed=1):
+        self._rng = np.random.default_rng(seed)
+        self.draws = 0
+
+    def __getattr__(self, name):
+        draw = getattr(self._rng, name)
+
+        def counted(*args, **kwargs):
+            self.draws += 1
+            return draw(*args, **kwargs)
+        return counted
+
+
+@pytest.mark.parametrize("fault_type,effect,draws_per_armed_step", [
+    (faults.PackageDrop(0.0), faults.ConstantTime(0.005), 0),
+    (faults.StuckAt(), faults.MeanTimeToRepair(0.005, 0.0), 0),
+    (faults.BitFlip(n_bits=1, bit_positions=(3,)), faults.Once(), 0),
+    (faults.Noise(boundary_pct=5.0), faults.ConstantTime(0.005), 1),
+    (faults.BitFlip(n_bits=1), faults.ConstantTime(0.005), 1),
+    (faults.StuckAt(), faults.MeanTimeToRepair(0.005, 0.002), 1),
+], ids=["drop", "stuck-mttr", "fixed-flip", "noise", "random-flip", "stuck-drawn-mttr"])
+def test_p_zero_draws_only_where_the_generator_is_read_elsewhere(fault_type, effect,
+                                                                 draws_per_armed_step):
+    inj = make_injector(fault_type, event=faults.FailureProbability(0.0), effect=effect)
+    rng = CountingRng()
+    for k in range(10):
+        assert inj.step(1.0, k * DT, False, rng) == (1.0, False)
+    assert rng.draws == 10 * draws_per_armed_step
+    # a trigger still opens a window
+    assert inj.step(1.0, 10 * DT, True, rng)[1]
+    assert inj.activations and inj.activations[0][0] == 10
+
+
 def test_sample_exposure_values():
     rng = np.random.default_rng(0)
     assert faults.sample_exposure(faults.Once(), rng, DT) == DT
