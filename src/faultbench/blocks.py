@@ -12,7 +12,8 @@ Once per step the engine calls ``state_outputs`` on every block that
 declares state outputs, then ``emit`` in topological order over feedthrough
 dependencies, then ``advance`` on every block whose class overrides
 ``Block.advance``. A block with neither (the monitor, an injector) costs the
-step loop one ``emit`` call.
+step loop one ``emit`` call. ``emit``'s ``rng`` is ``None`` except in an
+injector. A run that starts late calls ``restart`` after ``reset``.
 """
 
 from __future__ import annotations
@@ -50,3 +51,8 @@ class Block:
 
     def advance(self, t: float, signals: dict[str, float], dt: float) -> None:
         pass
+
+    def restart(self, k: int, golden, rng) -> None:
+        """Set the state of step ``k`` > 0 of a run where no injector has
+        fired, from ``golden``, that run's trace without injectors."""
+        raise NotImplementedError(f"block {self.name!r} cannot start a run at step {k}")

@@ -227,7 +227,8 @@ def rollout(params: list[DmpParams], dt: float, n_steps: int) -> np.ndarray:
         for row, s, denom in zip(psi, s_chunk.tolist(), psi.sum(axis=1).tolist()):
             out = []
             for j, (alpha_z, beta_z, g, amplitude, weights) in enumerate(joints):
-                f = 0.0 if denom < 1e-300 else float(row @ weights) / denom * s * amplitude
+                # forcing's psi @ weights, without the operator dispatch
+                f = 0.0 if denom < 1e-300 else float(row.dot(weights)) / denom * s * amplitude
                 y, z = ys[j], zs[j]
                 zdot = (alpha_z * (beta_z * (g - y) - z) + f) / tau
                 yd = z / tau
@@ -311,6 +312,9 @@ class DmpSystemBlock(Block):
             self._chunk = rows[:, self._columns].tolist()
             i = 0
         return dict(zip(self.state_output_names, self._chunk[i]))
+
+    def restart(self, k: int, golden, rng) -> None:
+        self.k = k
 
     def advance(self, t: float, signals: dict[str, float], dt: float) -> None:
         if dt != self.targets.dt:

@@ -14,10 +14,11 @@ step proceeds in three phases:
 A block without state outputs or without an ``advance`` of its own (the
 monitor, the injectors) is not called in that phase.
 
-Randomness comes from one PCG64 substream per block, derived from the run
-seed and the block name, so traces are bit-identical for a fixed
+Randomness comes from one PCG64 substream per injector, derived from the
+run seed and the block name, so traces are bit-identical for a fixed
 (graph, clock, seed) and unaffected by the declaration order of unrelated
-blocks.
+blocks. Other blocks get ``None``, so a draw there fails at once: ``run``'s
+``start`` relies on it.
 """
 
 from __future__ import annotations
@@ -191,17 +192,42 @@ def _block_seed(run_seed: int, block_name: str) -> np.random.SeedSequence:
     return np.random.SeedSequence([run_seed, int.from_bytes(digest[:8], "big")])
 
 
-def run(graph: BlockGraph, clock: ClockConfig, seed: int) -> TraceLog:
+def _injector_rng(run_seed: int, block) -> np.random.Generator | None:
+    """The block's own generator if it is an injector, else ``None``."""
+    if not isinstance(block, faults_mod.Injector):
+        return None
+    return np.random.Generator(np.random.PCG64(_block_seed(run_seed, block.name)))
+
+
+def first_activation(graph: BlockGraph, clock: ClockConfig, seed: int) -> int:
+    """The first step on which an injector's own event fires in a run of
+    ``graph`` with ``seed`` (see ``Injector.first_fire``), or
+    ``clock.n_steps``. Until then every injector passes its input through
+    and no trigger rises, so ``run`` may start there."""
+    first = clock.n_steps
+    for b in graph.blocks:
+        if isinstance(b, faults_mod.Injector):
+            first = b.first_fire(_injector_rng(seed, b), first)
+    return first
+
+
+def run(graph: BlockGraph, clock: ClockConfig, seed: int, start: int = 0,
+        golden: TraceLog | None = None) -> TraceLog:
     """Execute all steps; returns the trace of monitored signals.
 
     Bit-identical output for identical (graph, clock, seed). Raises
     NumericalDivergence if any block produces a non-finite value.
 
+    With ``start`` (at most ``first_activation``) the blocks ``restart`` on
+    that step, and the rows before it come from ``golden``, the trace of the
+    same run without injectors on at least this graph's joints: an
+    injector's output column is its target's, its trigger column 0.
+
     Step methods are looked up on the block instance every step. One
     signal dict serves the whole run and is overwritten in place: every
     signal has one producer that writes it every step, and the dict starts
     empty, so a block that reads a signal before its producer writes it
-    raises ``KeyError`` on step 0.
+    raises ``KeyError`` on the first step run.
     """
     steps = clock.n_steps
     dt = clock.dt_s
@@ -214,17 +240,22 @@ def run(graph: BlockGraph, clock: ClockConfig, seed: int) -> TraceLog:
     rows_into = data[:, 0] if len(columns) == 1 else data
     rows: list = []
 
-    rngs = {b.name: np.random.Generator(np.random.PCG64(_block_seed(seed, b.name)))
-            for b in graph.blocks}
+    rngs = {b.name: _injector_rng(seed, b) for b in graph.blocks}
     for b in graph.blocks:
         b.reset()
+    if start:
+        for i, column in enumerate(columns):
+            data[:start, i] = _golden_column(graph, golden, column)[:start]
+        if start < steps:
+            for b in graph.blocks:
+                b.restart(start, golden, rngs[b.name])
 
     publishers = [b for b in graph.blocks if b.state_output_names]
     advancers = [b for b in graph.blocks if type(b).advance is not Block.advance]
     emitters = [(b, rngs[b.name]) for b in graph.emit_order]
     isfinite = math.isfinite
     signals: dict[str, float] = {}
-    for k in range(steps):
+    for k in range(start, steps):
         t = k * dt
         for b in publishers:
             out = b.state_outputs(t)
@@ -246,6 +277,17 @@ def run(graph: BlockGraph, clock: ClockConfig, seed: int) -> TraceLog:
     if rows:
         rows_into[steps - len(rows):] = rows
     return TraceLog(columns=columns, t=t_arr, data=data)
+
+
+def _golden_column(graph: BlockGraph, golden: TraceLog, column: str) -> np.ndarray:
+    """What ``column`` holds while no injector has fired, from the golden run."""
+    for b in graph.blocks:
+        if isinstance(b, faults_mod.Injector):
+            if column == b.out_signal:
+                return golden.signal(b.spec.target_signal)
+            if column == b.trigger_signal:
+                return np.zeros(len(golden))
+    return golden.signal(column)
 
 
 def _check_finite(out: dict[str, float], t: float, block: str) -> None:

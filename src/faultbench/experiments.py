@@ -2,21 +2,27 @@
 
 Every run, single or in a sweep, goes through :func:`simulate`. For every
 (duration, seed) cell a sweep runs the scenario twice with the same seed:
-once with all injectors disabled (the fault-free reference, or golden run)
-and once with them enabled (faulty). The reference simulates every joint. The
-faulty run simulates only the joints some injector targets, and the cell is
-classified from its safety violations merged with the reference's on the
-other joints, in the monitor's order. That is exact: the DMP is open-loop
-per joint, every injectable signal names one joint and only that joint's
-controller or dynamics read it, and the monitor checks each joint's raw
-signals on their own, so a joint no injector targets follows the reference
-bit for bit.
+once without its injectors (the fault-free reference, or golden run) and
+once with them (faulty). The reference simulates every joint. The faulty run
+simulates only the joints some injector targets, and the cell is classified
+from its safety violations merged with the reference's on the other joints,
+in the monitor's order. That is exact: the DMP is open-loop per joint, every
+injectable signal names one joint and only that joint's controller or
+dynamics read it, and the monitor checks each joint's raw signals on their
+own, so a joint no injector targets follows the reference bit for bit.
+
+The faulty run starts from the reference at ``engine.first_activation``,
+and its trace rows and violations before that step are the reference's.
+That is exact too: until then every injector passes its input through, and
+only injectors draw random numbers.
+
 Root-mean-square error between a cell's faulty run and the reference on the
 faulted joint (angle, angular velocity, applied torque) quantifies the fault
 impact; the merged violations classify the cell as Nominal, Error, or
-Failure. Whatever the scenario's ``monitors`` list says, both runs
-of a cell record exactly the three columns the cell reads: the faulted
-joint's angle, angular velocity and applied torque. The cell's activation
+Failure. Whatever the scenario's ``monitors`` list says, the faulty run of
+a cell records exactly the three columns the cell reads: the faulted joint's
+angle, angular velocity and applied torque. The reference also records what
+the faulty run restarts from. The cell's activation
 windows come from the primary injector's activation log, with a window that
 starts on the step after the previous one ends merged into it, as the
 injector's trigger line shows them. A bit-flip or small-fault probe reads
@@ -119,14 +125,29 @@ class RunOutput:
 
 
 def simulate(cfg: ScenarioConfig, seed: int | None = None, faults_enabled: bool = True,
-             joints: tuple[str, ...] | None = None) -> RunOutput:
+             joints: tuple[str, ...] | None = None,
+             golden: RunOutput | None = None) -> RunOutput:
     """Build and execute one run; seed defaults to the scenario seed, and
-    ``joints`` cuts the graph to those joints (see ``engine.build_graph``)."""
+    ``joints`` cuts the graph to those joints (see ``engine.build_graph``).
+
+    With ``golden``, the run of the same scenario and seed without
+    injectors, the run starts at ``engine.first_activation`` and returns
+    what the full run returns, but for ``monitor.violations`` if ``golden``
+    holds more joints.
+    """
     if not faults_enabled:
         cfg = set_faults_enabled(cfg, False)
+    seed = cfg.seed if seed is None else seed
     graph = engine.build_graph(cfg, joints)
-    trace = engine.run(graph, cfg.clock, cfg.seed if seed is None else seed)
-    violations = tuple(graph.block("monitor").violations)
+    start = 0 if golden is None else engine.first_activation(graph, cfg.clock, seed)
+    trace = engine.run(graph, cfg.clock, seed, start, None if golden is None else golden.trace)
+    monitor = graph.block("monitor")
+    violations = tuple(monitor.violations)
+    if start:
+        held = {p.name for p in monitor.joints}
+        t_start = start * cfg.clock.dt_s
+        violations = tuple(v for v in golden.violations
+                           if v.joint in held and v.t < t_start) + violations
     activations = {b.spec.name: tuple(b.activations) for b in graph.blocks
                    if isinstance(b, faults.Injector)}
     return RunOutput(trace=trace, violations=violations,
@@ -231,15 +252,24 @@ def _merged_violations(cut, joints, reference, joint_names) -> list[ViolationRec
     return sorted(merged, key=lambda v: (v.t, order[v.joint]))
 
 
+def _golden_signals(cfg: ScenarioConfig, joints: tuple[str, ...]) -> tuple[str, ...]:
+    """The columns the cell reads and its faulty run restarts from."""
+    restart = [f"plant.{j}.{field}" for j in joints for field in ("pos", "vel")]
+    return tuple(dict.fromkeys([*cfg.monitors.signals, *restart,
+                                *(spec.target_signal for spec in cfg.injectors)]))
+
+
 def _run_cell(cfg: ScenarioConfig, varied: tuple[str, ...], primary: str,
               joint: str, duration: float, seed_index: int,
               base_seed: int) -> CellResult:
     seed = cell_seed(base_seed, seed_index)
-    reference = simulate(cfg, seed=seed, faults_enabled=False)
     joints = _faulted_joints(cfg)
+    golden = replace(cfg, injectors=(),
+                     monitors=MonitorConfig(signals=_golden_signals(cfg, joints)))
+    reference = simulate(golden, seed=seed, faults_enabled=False)
     try:
         out = simulate(with_injector_durations(cfg, varied, duration), seed=seed,
-                       joints=joints)
+                       joints=joints, golden=reference)
     except engine.NumericalDivergence as exc:
         raise engine.NumericalDivergence(exc.t, exc.block, exc.signal, exc.value,
                                          cell=(duration, seed_index)) from None

@@ -15,6 +15,7 @@ event model.
 
 from __future__ import annotations
 
+import bisect
 import math
 import struct
 import sys
@@ -22,6 +23,8 @@ from collections import deque
 from dataclasses import dataclass
 
 from .blocks import Block
+
+FIRE_SCAN_CHUNK = 1024  # draws Injector.first_fire takes at once
 
 # --------------------------------------------------------------------------
 # fault types
@@ -267,6 +270,41 @@ class Injector(Block):
             deque(maxlen=min(self._delay_steps, sys.maxsize)) if self._delay_steps > 0 else None
         )
         self.activations: list[tuple[int, int | None]] = []
+
+    def first_fire(self, rng, limit: int) -> int:
+        """The first step before ``limit`` on which the event fires, or
+        ``limit``, drawn from a fresh copy ``rng`` of the generator: a
+        ``p``-event's first draw below ``p``, or the first step that passes
+        ``_scheduled_time_reached``'s test."""
+        if not self.enabled:
+            return limit
+        if self._p is None:
+            threshold = sample_activation_time(self.spec.event, 0.0, rng, self.dt) \
+                - 1e-9 * self.dt
+            # k * dt does not decrease with k, so the test holds from one step on
+            return bisect.bisect_left(range(limit), True,
+                                      key=lambda k: k * self.dt >= threshold)
+        if self._draws_p:
+            for start in range(0, limit, FIRE_SCAN_CHUNK):
+                fires = rng.random(min(FIRE_SCAN_CHUNK, limit - start)) < self._p
+                if fires.any():
+                    return start + int(fires.argmax())
+        return limit
+
+    def restart(self, k: int, golden, rng) -> None:
+        """The state after ``k`` steps that fired nothing, on the inputs in
+        ``golden``'s column of the target signal."""
+        seen = golden.signal(self.spec.target_signal)
+        self._step_idx = k
+        self._held = float(seen[k - 1 if self.enabled else 0])  # kept while armed
+        if self._dbuf is not None:
+            self._dbuf.extend(seen[max(0, k - self._delay_steps):k].tolist())
+        if not self.enabled:
+            return
+        if self._draws_p:
+            rng.bit_generator.advance(k)
+        elif self._p is None:
+            self._scheduled_t = sample_activation_time(self.spec.event, 0.0, rng, self.dt)
 
     # -- state machine ------------------------------------------------------
 

@@ -228,6 +228,11 @@ class PlantBlock(Block):
         self.thetas = list(self.theta0)
         self.omegas = [0.0] * len(self.joints)
 
+    def restart(self, k: int, golden, rng) -> None:
+        """The angles and velocities of row ``k`` of ``golden``."""
+        self.thetas = [float(golden.signal(pos)[k]) for pos, _ in self._state_pairs]
+        self.omegas = [float(golden.signal(vel)[k]) for _, vel in self._state_pairs]
+
     def state_outputs(self, t: float) -> dict[str, float]:
         out = {}
         for (pos, vel), theta, omega in zip(self._state_pairs, self.thetas, self.omegas):
@@ -284,6 +289,9 @@ class MonitorBlock(Block):
 
     def reset(self) -> None:
         self.violations: list[ViolationRecord] = []
+
+    def restart(self, k: int, golden, rng) -> None:
+        """``experiments.simulate`` adds the golden run's records."""
 
     def emit(self, t: float, signals: dict[str, float], rng) -> dict[str, float]:
         for pos, vel, demand, max_torque, max_speed, rot_min, rot_max in self._checks:

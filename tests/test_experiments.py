@@ -17,7 +17,7 @@ from faultbench.plant import (DEG, JOINT_NAMES, ViolationKind, ViolationRecord,
 from faultbench.scenario import ClockConfig, MonitorConfig, with_injector_durations
 
 from conftest import make_scenario, stuck_spec
-from test_faults import PATH_INJECTORS
+from test_faults import PATH_INJECTORS, _spec
 
 
 # --------------------------------------------------------------------------
@@ -534,3 +534,125 @@ def test_a_diverging_cut_cell_raises_what_the_full_run_raised():
     assert (cut.value.t, cut.value.block, cut.value.signal, cut.value.cell) \
         == (expected.t, expected.block, expected.signal, (0.05, 0))
     assert np.array_equal([cut.value.value], [expected.value], equal_nan=True)
+
+
+# --------------------------------------------------------------------------
+# a faulty run restarted from its golden run at its first activation
+
+
+KNEE_POS, KNEE_VEL = "plant.right_knee.pos", "plant.right_knee.vel"
+# (scenario, seed, joints, first activation or None for one inside the run)
+RESTARTED_RUNS = [
+    pytest.param(six_joints(0.7, TIGHT_HIPS, CUT_INJECTORS), seed, None, None,
+                 id=f"every-path-seed{seed}") for seed in range(3)
+] + [
+    pytest.param(six_joints(0.7, TIGHT_HIPS, [s for s in CUT_INJECTORS if s.name in
+                                              ("noise", "up", "down")]),
+                 CUT_SEED, ("left_hip", "right_knee"), None, id="cut-to-two-joints"),
+    # the golden run's records on the hips, which are cut away, are not the run's
+    pytest.param(six_joints(0.7, TIGHT_HIPS, [s for s in CUT_INJECTORS if s.name in
+                                              ("up", "down")]),
+                 CUT_SEED, ("right_knee",), None, id="cut-to-right-knee"),
+    pytest.param(make_scenario(t_end=1.0, injectors=[_spec(
+        "flip", KNEE_POS, faults.BitFlip(n_bits=1, bit_positions=(40,)),
+        faults.MeanTimeToFailure(0.3), faults.ConstantTime(0.05))]), 0, None, 300, id="mttf"),
+    pytest.param(make_scenario(t_end=1.0, injectors=[_spec(
+        "noise", KNEE_VEL, faults.Noise(20.0), faults.MeanTimeToFailure(0.3, 0.1),
+        faults.MeanTimeToRepair(0.05, 0.02))]), 3, None, None, id="mttf-sigma"),
+    pytest.param(make_scenario(t_end=1.0, injectors=[
+        _spec("up", "dmp.right_knee.pos", faults.StuckAt(), faults.FailureProbability(0.005),
+              faults.ConstantTime(0.05), chain_to="down"),
+        _spec("down", KNEE_VEL, faults.Noise(30.0), faults.FailureProbability(0.0),
+              faults.ConstantTime(0.05)),
+        _spec("torque", "plant.right_knee.torque", faults.Bias(5.0),
+              faults.FailureProbability(0.002), faults.MeanTimeToRepair(0.02, 0.01))]),
+        1, None, None, id="chained-drawing"),
+    pytest.param(make_scenario(t_end=1.0, injectors=[_spec(
+        "delay", KNEE_POS, faults.TimeDelay(0.1), faults.MeanTimeToFailure(0.02),
+        faults.ConstantTime(0.2))]), 0, None, 20, id="delay-longer-than-k"),
+    pytest.param(make_scenario(t_end=1.0, injectors=[stuck_spec(p=1.0, duration=0.05)]),
+                 0, None, 0, id="k0"),
+    pytest.param(make_scenario(t_end=1.0, injectors=[_spec(
+        "drop", KNEE_POS, faults.PackageDrop(0.0), faults.MeanTimeToFailure(1e-3),
+        faults.Once())]), 0, None, 1, id="k1"),
+    pytest.param(make_scenario(t_end=1.0, injectors=[
+        _spec("noise", KNEE_POS, faults.Noise(5.0), faults.FailureProbability(0.0),
+              faults.ConstantTime(0.05)),
+        stuck_spec(name="off", p=0.5, enabled=False)]), 0, None, 1000, id="never"),
+]
+
+
+@pytest.mark.parametrize("cfg,seed,joints,first", RESTARTED_RUNS)
+def test_a_restarted_run_returns_what_the_full_run_returns(cfg, seed, joints, first):
+    k = engine.first_activation(engine.build_graph(cfg, joints), cfg.clock, seed)
+    assert k == first if first is not None else 1 < k < cfg.clock.n_steps
+    golden = ex.simulate(replace(cfg, injectors=()), seed=seed)  # every signal, every joint
+    full = ex.simulate(cfg, seed=seed, joints=joints)
+    restarted = ex.simulate(cfg, seed=seed, joints=joints, golden=golden)
+    assert restarted.trace.columns == full.trace.columns
+    assert np.array_equal(restarted.trace.t, full.trace.t)
+    for column in full.trace.columns:
+        # before k a cut run's count is the golden run's, over every joint
+        if not (joints and column == "monitor.violations"):
+            assert np.array_equal(restarted.trace.signal(column), full.trace.signal(column)), \
+                column
+    assert restarted.activations == full.activations
+    assert restarted.violations == full.violations
+
+
+def test_the_golden_run_violates_on_a_faulted_joint_before_the_restart():
+    cfg = six_joints(0.7, TIGHT_HIPS, CUT_INJECTORS)
+    k = engine.first_activation(engine.build_graph(cfg), cfg.clock, CUT_SEED)
+    golden = ex.simulate(replace(cfg, injectors=()), seed=CUT_SEED)
+    assert {v.joint for v in golden.violations if v.t < k * 1e-3} == {"left_hip"}
+    assert {"noise", "up"} <= {name for name, log in ex.simulate(cfg, seed=CUT_SEED)
+                               .activations.items() if log}
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_first_activation_is_the_first_step_any_injector_logs(case_study_cfg, seed):
+    cfg = replace(case_study_cfg, clock=ClockConfig(dt_s=1e-3, t_end_s=2.0))
+    graph = engine.build_graph(cfg, ("right_knee",))
+    first = engine.first_activation(graph, cfg.clock, seed)
+    engine.run(graph, cfg.clock, seed)
+    logged = [log[0][0] for log in (b.activations for b in graph.blocks
+                                    if isinstance(b, faults.Injector)) if log]
+    assert first == min(logged, default=cfg.clock.n_steps)
+    # a window of no steps fires on the same step and logs nothing
+    empty = with_injector_durations(cfg, ("knee_pos_stuck", "knee_vel_freeze"), 0.0)
+    assert ex.simulate(empty, seed=seed).activations == {"knee_pos_stuck": (),
+                                                         "knee_vel_freeze": ()}
+    assert engine.first_activation(engine.build_graph(empty), cfg.clock, seed) == first
+
+
+def unskipped_cell(cfg, plan, duration, seed_index) -> ex.CellResult:
+    """A sweep cell from a full reference and a full faulty run."""
+    seed = ex.cell_seed(plan.base_seed, seed_index)
+    reference = ex.simulate(cfg, seed=seed, faults_enabled=False)
+    out = ex.simulate(with_injector_durations(cfg, plan.resolved_varied(), duration), seed=seed)
+    joint = plan.metric_joint()
+    n_act, min_gap = ex._activation_windows(out.activations[plan.resolved_primary()],
+                                            cfg.clock.dt_s)
+    return ex.CellResult(duration, seed_index,
+                         *map(ex.rmse, ex._joint_columns(out.trace, joint),
+                              ex._joint_columns(reference.trace, joint)),
+                         classification=out.classification, n_activations=n_act,
+                         min_gap_s=min_gap)
+
+
+@pytest.mark.parametrize("scenario", ["case-study", "knee-violates-before-k"])
+def test_a_cell_equals_the_one_its_unskipped_runs_give(case_study_cfg, scenario):
+    if scenario == "case-study":
+        cfg = replace(case_study_cfg, clock=ClockConfig(dt_s=1e-3, t_end_s=2.0))
+    else:  # right_knee leaves its range from step 525 to 1840 in the reference
+        cfg = six_joints(2.0, {"right_knee": -45.0}, chained_pair())
+    plan = ex.SweepPlan(scenario=cfg, durations=(0.05, 0.3), seeds_per_duration=8)
+    cfg = replace(cfg, monitors=MonitorConfig(signals=ex._joint_signals(plan.metric_joint())))
+    cells = [ex._run_cell(cfg, plan.resolved_varied(), plan.resolved_primary(),
+                          plan.metric_joint(), d, si, plan.base_seed)
+             for d in plan.durations for si in range(plan.seeds_per_duration)]
+    assert cells == [unskipped_cell(cfg, plan, d, si)
+                     for d in plan.durations for si in range(plan.seeds_per_duration)]
+    assert {c.n_activations for c in cells} >= {0, 1}  # some slots never fire
+    if scenario == "case-study":
+        assert len({c.classification for c in cells}) > 1

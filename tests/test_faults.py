@@ -412,3 +412,77 @@ def test_injector_paths_pinned(seed):
         outcome = str(exc)
     logs = {b.name: b.activations for b in graph.blocks if isinstance(b, faults.Injector)}
     assert (outcome, logs) == PATH_PINS[seed]
+
+
+# --------------------------------------------------------------------------
+# restarting an injector at the first step on which it can fire
+
+
+def _generator(seed=4):
+    return np.random.Generator(np.random.PCG64(seed))
+
+
+RESTART_CASES = [
+    pytest.param(faults.StuckAt(), faults.FailureProbability(0.02), faults.ConstantTime(0.01),
+                 True, id="p"),
+    pytest.param(faults.Noise(5.0), faults.FailureProbability(0.0), faults.ConstantTime(0.01),
+                 True, id="p0-noise"),
+    pytest.param(faults.PackageDrop(0.0), faults.FailureProbability(0.0), faults.Once(),
+                 True, id="p0-drop"),
+    pytest.param(faults.BitFlip(n_bits=1, bit_positions=(2,)),
+                 faults.MeanTimeToFailure(0.08, 0.0), faults.Once(), True, id="mttf"),
+    pytest.param(faults.BitFlip(n_bits=2), faults.MeanTimeToFailure(0.08, 0.03),
+                 faults.Once(), True, id="mttf-sigma"),
+    pytest.param(faults.TimeDelay(0.2), faults.FailureProbability(0.02),
+                 faults.ConstantTime(0.3), True, id="delay-longer-than-k"),
+    pytest.param(faults.TimeDelay(0.005), faults.MeanTimeToFailure(0.08, 0.0),
+                 faults.ConstantTime(0.05), True, id="delay-shorter-than-k"),
+    pytest.param(faults.TimeDelay(0.005), faults.FailureProbability(0.02),
+                 faults.ConstantTime(0.01), False, id="disabled"),
+]
+
+
+@pytest.mark.parametrize("fault_type,event,effect,enabled", RESTART_CASES)
+def test_restart_sets_the_state_of_the_steps_it_skips(fault_type, event, effect, enabled):
+    inputs = _generator(9).normal(size=400)
+    golden = engine.TraceLog(columns=("sig",), t=np.arange(400) * DT, data=inputs[:, None])
+    stepped = make_injector(fault_type, event, effect, enabled)
+    k = min(stepped.first_fire(_generator(), 400), 150)
+    stepped_rng = _generator()
+    for i in range(k):
+        assert stepped.step(float(inputs[i]), i * DT, False, stepped_rng) == (inputs[i], False)
+    restarted = make_injector(fault_type, event, effect, enabled)
+    restarted_rng = _generator()
+    restarted.restart(k, golden, restarted_rng)
+
+    def state(inj):
+        return {name: list(v) if name == "_dbuf" and v is not None else v
+                for name, v in vars(inj).items() if name != "_apply"}
+    assert 0 < k and state(restarted) == state(stepped)
+    assert restarted_rng.bit_generator.state == stepped_rng.bit_generator.state
+    for i in range(k, 400):  # and the steps after it
+        assert restarted.step(float(inputs[i]), i * DT, False, restarted_rng) \
+            == stepped.step(float(inputs[i]), i * DT, False, stepped_rng)
+    assert restarted.activations == stepped.activations
+
+
+@pytest.mark.parametrize("fault_type,event,effect,enabled", RESTART_CASES)
+@pytest.mark.parametrize("seed", range(4))
+def test_first_fire_is_the_first_window_of_a_run(fault_type, event, effect, enabled, seed):
+    inj = make_injector(fault_type, event, effect, enabled)
+    first = inj.first_fire(_generator(seed), 400)
+    drive(inj, [1.0] * 400, seed=_generator(seed))
+    assert first == (inj.activations[0][0] if inj.activations else 400)
+    assert inj.first_fire(_generator(seed), first // 2) == first // 2
+
+
+def test_first_fire_counts_a_window_of_no_steps():
+    # a zero-length window fires and logs nothing
+    empty = make_injector(faults.StuckAt(), faults.FailureProbability(0.01),
+                          faults.ConstantTime(0.0))
+    logged = make_injector(faults.StuckAt(), faults.FailureProbability(0.01),
+                           faults.ConstantTime(0.005))
+    drive(empty, [1.0] * 400, seed=_generator())
+    drive(logged, [1.0] * 400, seed=_generator())
+    assert empty.activations == [] and logged.activations
+    assert empty.first_fire(_generator(), 400) == logged.activations[0][0]
