@@ -4,19 +4,23 @@ import itertools
 import json
 import math
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from faultbench import engine, faults
 from faultbench import experiments as ex
 from faultbench.plant import (DEG, JOINT_NAMES, ViolationKind, ViolationRecord,
                               default_joint_params)
-from faultbench.scenario import ClockConfig, MonitorConfig, with_injector_durations
+from faultbench.cli import GRAPH_ERRORS
+from faultbench.scenario import (ClockConfig, MonitorConfig, base_signal_names,
+                                 parse_scenario, with_injector_durations)
 
 from conftest import make_scenario, stuck_spec
+from test_cli import fault_parts, short_scenarios
 from test_faults import PATH_INJECTORS, _spec
 
 
@@ -598,6 +602,80 @@ def test_a_restarted_run_returns_what_the_full_run_returns(cfg, seed, joints, fi
                 column
     assert restarted.activations == full.activations
     assert restarted.violations == full.violations
+
+
+def run_or_divergence(cfg, **kwargs):
+    """The run's output, or what its divergence reports."""
+    try:
+        return ex.simulate(cfg, **kwargs)
+    except engine.NumericalDivergence as exc:
+        return (exc.t, exc.block, exc.signal, repr(exc.value))
+
+
+def assert_restarts_match_full_runs(raw):
+    """A valid scenario's run restarted from its golden run, on every joint
+    and cut to the faulted ones, returns what the full run returns."""
+    cfg, violations = parse_scenario(raw, Path("."))
+    assume(not violations)
+    try:
+        engine.build_graph(cfg)
+        golden = ex.simulate(replace(cfg, injectors=(), monitors=MonitorConfig(signals=None)))
+    except (*GRAPH_ERRORS, engine.NumericalDivergence):
+        assume(False)
+    cut = replace(cfg, monitors=MonitorConfig(signals=None))  # may monitor a cut joint
+    for cfg, joints in ((cfg, None), (cut, ex._faulted_joints(cfg) or None)):
+        full = run_or_divergence(cfg, joints=joints)
+        restarted = run_or_divergence(cfg, joints=joints, golden=golden)
+        if isinstance(full, tuple):
+            assert restarted == full
+            continue
+        assert restarted.trace.columns == full.trace.columns
+        for column in full.trace.columns:
+            if not (joints and column == "monitor.violations"):
+                assert np.array_equal(restarted.trace.signal(column), full.trace.signal(column),
+                                      equal_nan=True), column
+        assert (restarted.activations, restarted.violations) == \
+            (full.activations, full.violations)
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(short_scenarios())
+def test_restarted_runs_of_valid_scenarios_match_their_full_runs(raw):
+    assert_restarts_match_full_runs(raw)
+
+
+@st.composite
+def restartable_scenarios(draw):
+    """A 0.3 s scenario whose one to three injectors, of every fault type and
+    effect, are likely to fire first inside the run."""
+    six = draw(st.booleans())
+    joints = list(JOINT_NAMES) if six else ["right_knee"]
+    raw = {"clock": {"dt_s": 1e-3, "t_end_s": 0.3}, "joints": [{"name": j} for j in joints],
+           "dmp": {"demo_file": "demo_gait.csv" if six else "demo_minimal.csv"},
+           "seed": draw(st.integers(0, 2**64 - 1)), "injectors": []}
+    names = [f"inj{k}" for k in range(draw(st.integers(1, 3)))]
+    for name in names:
+        fault_type, event, effect = draw(fault_parts(1e-3))
+        if event["kind"] == "failure_probability":
+            event["p"] = draw(st.sampled_from([0.0, 0.003, 0.01, 0.05]))
+        else:
+            event["mttf"] = draw(st.floats(1e-4, 0.4))
+            event.pop("sigma", None)
+            if draw(st.booleans()):
+                event["sigma"] = draw(st.floats(0.0, 0.2))
+        raw["injectors"].append({
+            "name": name, "target_signal": draw(st.sampled_from(base_signal_names(joints))),
+            "fault_type": fault_type, "event": event, "effect": effect,
+            "enabled": draw(st.sampled_from([True, True, False])),
+            "chain_to": draw(st.one_of(st.none(), st.sampled_from(names))),
+        })
+    return raw
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(restartable_scenarios())
+def test_restarted_runs_of_random_fault_mixes_match_their_full_runs(raw):
+    assert_restarts_match_full_runs(raw)
 
 
 def test_the_golden_run_violates_on_a_faulted_joint_before_the_restart():
