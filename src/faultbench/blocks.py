@@ -8,12 +8,20 @@ A block exposes two kinds of output signals:
 * emitted outputs -- computed by ``emit`` from the current step's inputs
                      (instantaneous feedthrough)
 
-Once per step the engine calls ``state_outputs`` on every block that
-declares state outputs, then ``emit`` in topological order over feedthrough
-dependencies, then ``advance`` on every block whose class overrides
-``Block.advance``. A block with neither (the monitor, an injector) costs the
-step loop one ``emit`` call. ``emit``'s ``rng`` is ``None`` except in an
-injector. A run that starts late calls ``restart`` after ``reset``.
+A run keeps every signal's value in one list, ``values``, at the signal's
+slot. A block knows only its signal names: at the start of each run the
+engine calls ``bind`` with the graph's slot of every signal. A block's
+outputs get consecutive slots in ``output_names`` order (``slot_range``).
+
+Once per step the engine calls ``state_outputs(t, values)`` on every block
+that declares state outputs, then ``emit(t, values, rng)`` in topological
+order over feedthrough dependencies, then ``advance(t, values, dt)`` on every
+block whose class overrides ``Block.advance``; the first two write all their
+outputs into ``values``. A block with neither (the monitor, an injector)
+costs the step loop one ``emit`` call. ``emit``'s ``rng`` is ``None`` except
+in an injector, whose ``emit`` also returns a dict holding its trigger. The
+methods are taken from the block instance once per run and called with
+positional arguments. A run that starts late calls ``restart`` after ``bind``.
 """
 
 from __future__ import annotations
@@ -22,9 +30,9 @@ from __future__ import annotations
 class Block:
     """Base block: stateless pass-through with no ports.
 
-    Subclasses override the port tuples and whichever of the three step
-    methods they need. ``feedthrough_inputs`` must list exactly the inputs
-    that ``emit`` reads; the engine orders emits from it.
+    Subclasses override the port tuples, ``bind`` and whichever step methods
+    they need. ``feedthrough_inputs`` must list exactly the inputs that
+    ``emit`` reads; the engine orders emits from it.
     """
 
     name: str = ""
@@ -43,16 +51,25 @@ class Block:
     def reset(self) -> None:
         pass
 
-    def state_outputs(self, t: float) -> dict[str, float]:
-        return {}
+    def bind(self, slots: dict[str, int]) -> None:
+        """Look up this run's slots of the block's signals in ``slots``."""
 
-    def emit(self, t: float, signals: dict[str, float], rng) -> dict[str, float]:
-        return {}
+    def state_outputs(self, t: float, values: list) -> None:
+        pass
 
-    def advance(self, t: float, signals: dict[str, float], dt: float) -> None:
+    def emit(self, t: float, values: list, rng) -> None:
+        pass
+
+    def advance(self, t: float, values: list, dt: float) -> None:
         pass
 
     def restart(self, k: int, golden, rng) -> None:
         """Set the state of step ``k`` > 0 of a run where no injector has
         fired, from ``golden``, that run's trace without injectors."""
         raise NotImplementedError(f"block {self.name!r} cannot start a run at step {k}")
+
+
+def slot_range(slots: dict[str, int], names: tuple[str, ...]) -> slice:
+    """The slots of ``names``, consecutive outputs of one block."""
+    start = slots[names[0]] if names else 0
+    return slice(start, start + len(names))

@@ -5,6 +5,10 @@ Exit codes
     run:       0 Nominal, 3 Error, 4 Failure, 2 config error, 5 divergence
     sweep:     0 completed, 2 config error, 5 divergence in any cell
 
+``validate`` builds the block graph and rolls the DMP targets out; what
+fails there (``block graph: ...``, exit 1) is a config error, never a
+divergence, to ``run`` and ``sweep``.
+
 A config error includes an ``--out`` that cannot be made a directory or
 written to. ``run`` and ``sweep`` check before simulating, creating
 nothing, that the nearest existing one of ``--out`` and its ancestors is a
@@ -33,7 +37,7 @@ EXIT_DIVERGENCE = 5
 
 # What building or starting the block graph raises on a scenario that
 # cannot run: a wiring error, an algebraic loop, a demo or DMP setting that
-# the fit rejects, or a step count too large to allocate
+# the fit or the rollout rejects, or a step count too large to allocate
 GRAPH_ERRORS = (engine.WiringError, engine.AlgebraicLoop, ValueError, OverflowError)
 
 CLASS_EXIT = {
@@ -103,8 +107,8 @@ def cmd_validate(args) -> int:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     if not violations:
-        try:
-            engine.build_graph(cfg)
+        try:  # build the graph and roll its targets out, as a run does
+            engine.build_graph(cfg).block("dmp").targets.rows
         except GRAPH_ERRORS as exc:
             violations = [f"block graph: {exc}"]
     if violations:

@@ -24,7 +24,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .blocks import Block
+from .blocks import Block, slot_range
 
 DEFAULT_ALPHA_Z = 25.0
 DEFAULT_ALPHA_S = 4.6  # phase reaches 1% of its initial value at t = tau
@@ -130,9 +130,20 @@ def learn_weights(times: np.ndarray, positions: np.ndarray,
     Replaying the returned primitive from (y0, z0) at the demonstration's
     time scale reproduces the demonstration.
     """
-    times = np.asarray(times, dtype=float)
     positions = np.asarray(positions, dtype=float)
-    if times.ndim != 1 or times.shape != positions.shape or len(times) < 3:
+    if np.shape(times) != positions.shape:
+        raise ValueError("demonstration needs >= 3 (t, y) samples")
+    return learn_system_weights(times, positions[:, None], params)[0]
+
+
+def learn_system_weights(times: np.ndarray, demo: np.ndarray,
+                         params: DmpParams) -> list[DmpParams]:
+    """``learn_weights`` for each column of ``demo``. The columns share one
+    clock, so the basis activations are computed once; each joint keeps its
+    own products with them, so its weights equal fitting it alone."""
+    times = np.asarray(times, dtype=float)
+    demo = np.asarray(demo, dtype=float)
+    if times.ndim != 1 or demo.ndim != 2 or len(demo) != len(times) or len(times) < 3:
         raise ValueError("demonstration needs >= 3 (t, y) samples")
     steps = np.diff(times)
     if not np.allclose(steps, steps[0], rtol=1e-6, atol=1e-12) or steps[0] <= 0:
@@ -140,35 +151,38 @@ def learn_weights(times: np.ndarray, positions: np.ndarray,
     dt = float(steps[0])
 
     tau = float(times[-1] - times[0])
-    g = float(positions[-1])
-    y0 = float(positions[0])
-    vel = np.gradient(positions, dt)
-    acc = np.gradient(vel, dt)
-    z0 = tau * float(vel[0])
-    params = replace(params, tau=tau, g=g, y0=y0, z0=z0)
-
-    amplitude = float(np.max(positions) - np.min(positions))
-    if amplitude < 1e-12 and abs(g - y0) < 1e-12:
-        warnings.warn("constant demonstration with g == y0; weights set to zero",
-                      DegenerateDemo)
-        return replace(params, weights=np.zeros_like(params.weights))
-
-    # target forcing from the inverse transformation system; an overflow
-    # here shows as a non-finite weight, which is rejected below
+    # an overflow here shows as a non-finite weight, which is rejected below
     with np.errstate(over="ignore", invalid="ignore"):
-        f_target = tau**2 * acc - params.alpha_z * (params.beta_z * (g - positions)
-                                                    - tau * vel)
         s = np.exp(-params.alpha_s * (times - times[0]) / tau)
-        gate = s * (g - y0)
-
         psi = np.exp(-params.widths[:, None] * (s[None, :] - params.centers[:, None]) ** 2)
-        num = psi @ (gate * f_target)
-        den = psi @ (gate * gate)
-        weights = np.divide(num, den, out=np.zeros_like(num), where=np.abs(den) > 1e-300)
-    if not np.all(np.isfinite(weights)):
-        raise ValueError("DMP fit gives non-finite forcing weights "
-                         "(alpha_z or the demonstration too large)")
-    return replace(params, weights=weights)
+    fitted = []
+    for positions in demo.T:
+        g = float(positions[-1])
+        y0 = float(positions[0])
+        vel = np.gradient(positions, dt)
+        acc = np.gradient(vel, dt)
+        joint = replace(params, tau=tau, g=g, y0=y0, z0=tau * float(vel[0]))
+
+        amplitude = float(np.max(positions) - np.min(positions))
+        if amplitude < 1e-12 and abs(g - y0) < 1e-12:
+            warnings.warn("constant demonstration with g == y0; weights set to zero",
+                          DegenerateDemo)
+            fitted.append(replace(joint, weights=np.zeros_like(params.weights)))
+            continue
+
+        # target forcing from the inverse transformation system
+        with np.errstate(over="ignore", invalid="ignore"):
+            f_target = tau**2 * acc - params.alpha_z * (params.beta_z * (g - positions)
+                                                        - tau * vel)
+            gate = s * (g - y0)
+            num = psi @ (gate * f_target)
+            den = psi @ (gate * gate)
+            weights = np.divide(num, den, out=np.zeros_like(num), where=np.abs(den) > 1e-300)
+        if not np.all(np.isfinite(weights)):
+            raise ValueError("DMP fit gives non-finite forcing weights "
+                             "(alpha_z or the demonstration too large)")
+        fitted.append(replace(joint, weights=weights))
+    return fitted
 
 
 def _shared_phase(params: list[DmpParams]) -> tuple[float, float]:
@@ -251,7 +265,8 @@ class TargetTable:
     """The rollout of one DMP system on one clock, computed on first use.
 
     The system is open-loop, so its targets are a constant of the scenario;
-    every graph built for that scenario can share one table.
+    every graph built for that scenario can share one table. A non-finite
+    table is a ``ValueError``: no fault caused it.
     """
 
     def __init__(self, params: list[DmpParams], dt: float, n_steps: int):
@@ -262,7 +277,12 @@ class TargetTable:
 
     @functools.cached_property
     def rows(self) -> np.ndarray:
-        return rollout(self.params, self.dt, self.n_steps)
+        table = rollout(self.params, self.dt, self.n_steps)
+        finite = np.isfinite(table).all(axis=1)
+        if not finite.all():
+            raise ValueError(f"the DMP rollout is not finite from "
+                             f"t={int(finite.argmin()) * self.dt:.6f}s")
+        return table
 
 
 class DmpSystemBlock(Block):
@@ -304,19 +324,22 @@ class DmpSystemBlock(Block):
         self._chunk_start = 0
         self._chunk: list[list[float]] = []  # rows from _chunk_start on, as floats
 
-    def state_outputs(self, t: float) -> dict[str, float]:
+    def bind(self, slots: dict[str, int]) -> None:
+        self._written = slot_range(slots, self.state_output_names)
+
+    def state_outputs(self, t: float, values: list) -> None:
         i = self.k - self._chunk_start
         if not 0 <= i < len(self._chunk):
             self._chunk_start = self.k
             rows = self.targets.rows[self.k:self.k + ROLLOUT_CHUNK]
             self._chunk = rows[:, self._columns].tolist()
             i = 0
-        return dict(zip(self.state_output_names, self._chunk[i]))
+        values[self._written] = self._chunk[i]
 
     def restart(self, k: int, golden, rng) -> None:
         self.k = k
 
-    def advance(self, t: float, signals: dict[str, float], dt: float) -> None:
+    def advance(self, t: float, values: list, dt: float) -> None:
         if dt != self.targets.dt:
             raise ValueError(f"DMP targets were rolled out with dt={self.targets.dt}, "
                              f"stepped with dt={dt}")

@@ -1,18 +1,20 @@
 """Deterministic fixed-step executor for a graph of signal-processing blocks.
 
-Signals are named scalars; trigger lines are booleans carried as 0/1. Each
-step proceeds in three phases:
+Signals are named scalars; trigger lines are booleans carried as 0/1. The
+graph numbers one slot per signal, and a run keeps the values in one list
+(see ``blocks``). Each step proceeds in three phases:
 
-1. every block with state outputs publishes them (values derivable from
+1. every block with state outputs writes them (values derivable from
    internal state alone, hence from inputs of previous steps),
 2. blocks emit their feedthrough outputs in topological order over the
    instantaneous-feedthrough subgraph (any such order gives the same
    trace, because ``emit`` reads only a block's feedthrough inputs),
 3. every block that overrides ``Block.advance`` advances its state from the
-   completed signal set.
+   completed list.
 
 A block without state outputs or without an ``advance`` of its own (the
-monitor, the injectors) is not called in that phase.
+monitor, the injectors) is not called in that phase. Each block's slots are
+checked for a non-finite value before the next block runs.
 
 Randomness comes from one PCG64 substream per injector, derived from the
 run seed and the block name, so traces are bit-identical for a fixed
@@ -36,7 +38,7 @@ import numpy as np
 from . import dmp as dmp_mod
 from . import faults as faults_mod
 from . import plant as plant_mod
-from .blocks import Block
+from .blocks import Block, slot_range
 from .scenario import (ClockConfig, ScenarioConfig, injectable_signal_names, load_demo_csv,
                        read_demo_bytes)
 
@@ -155,9 +157,11 @@ class BlockGraph:
                 if sig not in producers:
                     raise WiringError(f"block {b.name!r} reads unknown signal {sig!r}")
 
-        all_signals = [sig for b in self.blocks for sig in b.output_names]
+        # each block's outputs in declaration order
+        self.slots = {sig: i for i, sig in enumerate(
+            sig for b in self.blocks for sig in b.output_names)}
         if monitored is None:
-            self.monitored = tuple(all_signals)
+            self.monitored = tuple(self.slots)
         else:
             for sig in monitored:
                 if sig not in producers:
@@ -216,33 +220,38 @@ def run(graph: BlockGraph, clock: ClockConfig, seed: int, start: int = 0,
     """Execute all steps; returns the trace of monitored signals.
 
     Bit-identical output for identical (graph, clock, seed). Raises
-    NumericalDivergence if any block produces a non-finite value.
+    NumericalDivergence on the first non-finite value written: publishers
+    first, then ``emit_order``, each block's outputs in declaration order.
 
     With ``start`` (at most ``first_activation``) the blocks ``restart`` on
     that step, and the rows before it come from ``golden``, the trace of the
     same run without injectors on at least this graph's joints: an
     injector's output column is its target's, its trigger column 0.
 
-    Step methods are looked up on the block instance every step. One
-    signal dict serves the whole run and is overwritten in place: every
-    signal has one producer that writes it every step, and the dict starts
-    empty, so a block that reads a signal before its producer writes it
-    raises ``KeyError`` on the first step run.
+    Every block is reset and bound to ``graph.slots``; then its step
+    methods are taken from the instance, so a tracer may replace them
+    there before the run, and called once per step with positional
+    arguments. Every slot starts as ``None`` and has one producer that
+    writes it every step, so a block that reads a signal before its
+    producer writes it fails on the first step run.
     """
     steps = clock.n_steps
     dt = clock.dt_s
     columns = graph.monitored
+    signals = tuple(graph.slots)
     data = np.empty((steps, len(columns)))
     t_arr = np.arange(steps) * dt
     # a row is a tuple of the monitored values for several columns and the
     # value alone for one, so one column fills its 1-D view
-    monitored_values = operator.itemgetter(*columns) if columns else None
+    monitored_values = (operator.itemgetter(*(graph.slots[c] for c in columns))
+                        if columns else None)
     rows_into = data[:, 0] if len(columns) == 1 else data
     rows: list = []
 
     rngs = {b.name: _injector_rng(seed, b) for b in graph.blocks}
     for b in graph.blocks:
         b.reset()
+        b.bind(graph.slots)
     if start:
         for i, column in enumerate(columns):
             data[:start, i] = _golden_column(graph, golden, column)[:start]
@@ -250,30 +259,30 @@ def run(graph: BlockGraph, clock: ClockConfig, seed: int, start: int = 0,
             for b in graph.blocks:
                 b.restart(start, golden, rngs[b.name])
 
-    publishers = [b for b in graph.blocks if b.state_output_names]
-    advancers = [b for b in graph.blocks if type(b).advance is not Block.advance]
-    emitters = [(b, rngs[b.name]) for b in graph.emit_order]
+    publishers = [(b.state_outputs, slot_range(graph.slots, b.state_output_names), b.name)
+                  for b in graph.blocks if b.state_output_names]
+    emitters = [(b.emit, rngs[b.name], slot_range(graph.slots, b.emit_output_names), b.name)
+                for b in graph.emit_order]
+    advancers = [b.advance for b in graph.blocks if type(b).advance is not Block.advance]
     isfinite = math.isfinite
-    signals: dict[str, float] = {}
+    values: list = [None] * len(signals)
     for k in range(start, steps):
         t = k * dt
-        for b in publishers:
-            out = b.state_outputs(t)
-            if not isfinite(sum(out.values())):
-                _check_finite(out, t, b.name)
-            signals.update(out)
-        for b, rng in emitters:
-            out = b.emit(t, signals, rng)
-            if not isfinite(sum(out.values())):
-                _check_finite(out, t, b.name)
-            signals.update(out)
+        for state_outputs, written, name in publishers:
+            state_outputs(t, values)
+            if not isfinite(sum(values[written])):
+                _check_finite(values, written, signals, t, name)
+        for emit, rng, written, name in emitters:
+            emit(t, values, rng)
+            if not isfinite(sum(values[written])):
+                _check_finite(values, written, signals, t, name)
         if monitored_values is not None:
-            rows.append(monitored_values(signals))
+            rows.append(monitored_values(values))
             if len(rows) == TRACE_CSV_CHUNK:
                 rows_into[k + 1 - TRACE_CSV_CHUNK:k + 1] = rows
                 rows.clear()
-        for b in advancers:
-            b.advance(t, signals, dt)
+        for advance in advancers:
+            advance(t, values, dt)
     if rows:
         rows_into[steps - len(rows):] = rows
     return TraceLog(columns=columns, t=t_arr, data=data)
@@ -290,13 +299,14 @@ def _golden_column(graph: BlockGraph, golden: TraceLog, column: str) -> np.ndarr
     return golden.signal(column)
 
 
-def _check_finite(out: dict[str, float], t: float, block: str) -> None:
-    """Raise on the first non-finite value of ``out``. The step loop calls
-    it only when the sum of ``out`` is non-finite, which every non-finite
-    value makes it; a finite overflow of the sum passes the scan."""
-    for sig, v in out.items():
-        if not math.isfinite(v):
-            raise NumericalDivergence(t, block, sig, v)
+def _check_finite(values: list, written: slice, signals: tuple[str, ...], t: float,
+                  block: str) -> None:
+    """Raise on the first non-finite value in the slots ``written``. The
+    step loop calls it when their sum is not finite, so a finite overflow
+    of the sum passes the scan."""
+    for i in range(written.start, written.stop):
+        if not math.isfinite(values[i]):
+            raise NumericalDivergence(t, block, signals[i], values[i])
 
 
 # --------------------------------------------------------------------------
@@ -327,11 +337,9 @@ def _dmp_targets(cfg: ScenarioConfig) -> tuple[dmp_mod.TargetTable, list[float]]
         if demo.shape[1] != len(joint_names):
             raise WiringError(f"demo has {demo.shape[1]} joint columns, scenario has "
                               f"{len(joint_names)} joints")
-        params = []
-        for j in range(len(joint_names)):
-            base = dmp_mod.make_params(tau=1.0, g=0.0, alpha_z=cfg.dmp.alpha_z,
-                                       alpha_s=cfg.dmp.alpha_s, n_basis=cfg.dmp.n_basis)
-            params.append(dmp_mod.learn_weights(times, demo[:, j], base))
+        base = dmp_mod.make_params(tau=1.0, g=0.0, alpha_z=cfg.dmp.alpha_z,
+                                   alpha_s=cfg.dmp.alpha_s, n_basis=cfg.dmp.n_basis)
+        params = dmp_mod.learn_system_weights(times, demo, base)
         _dmp_memo = (key, dmp_mod.TargetTable(params, cfg.clock.dt_s, cfg.clock.n_steps),
                      demo[0].tolist())
     return _dmp_memo[1], _dmp_memo[2]

@@ -266,8 +266,8 @@ def _run_cell(cfg: ScenarioConfig, varied: tuple[str, ...], primary: str,
     joints = _faulted_joints(cfg)
     golden = replace(cfg, injectors=(),
                      monitors=MonitorConfig(signals=_golden_signals(cfg, joints)))
-    reference = simulate(golden, seed=seed, faults_enabled=False)
     try:
+        reference = simulate(golden, seed=seed, faults_enabled=False)
         out = simulate(with_injector_durations(cfg, varied, duration), seed=seed,
                        joints=joints, golden=reference)
     except engine.NumericalDivergence as exc:

@@ -389,11 +389,19 @@ class Injector(Block):
 
     # -- block protocol -------------------------------------------------------
 
-    def emit(self, t: float, signals: dict[str, float], rng) -> dict[str, float]:
+    def bind(self, slots: dict[str, int]) -> None:
+        self._read = slots[self.in_signal]
+        self._trigger_slots = tuple(slots[sig] for sig in self.trigger_sources)
+        self._out_slot = slots[self.out_signal]
+        self._trigger_slot = slots[self.trigger_signal]
+
+    def emit(self, t: float, values: list, rng) -> dict[str, float]:
         trigger_in = False
-        for source in self.trigger_sources:
-            if signals[source] >= 0.5:
+        for slot in self._trigger_slots:
+            if values[slot] >= 0.5:
                 trigger_in = True
                 break
-        y, trig = self.step(float(signals[self.in_signal]), t, trigger_in, rng)
-        return {self.out_signal: y, self.trigger_signal: 1.0 if trig else 0.0}
+        y, trig = self.step(float(values[self._read]), t, trigger_in, rng)
+        values[self._out_slot] = y
+        trigger = values[self._trigger_slot] = 1.0 if trig else 0.0
+        return {self.trigger_signal: trigger}

@@ -19,9 +19,8 @@ import enum
 import functools
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
-from .blocks import Block
+from .blocks import Block, slot_range
 
 DEG = math.pi / 180.0
 
@@ -65,12 +64,6 @@ class JointParams:
     def max_speed(self) -> float:
         """Speed rating in rad/s."""
         return rpm_to_rad_s(self.max_speed_rpm)
-
-
-class JointState(NamedTuple):
-    theta: float
-    omega: float
-    tau_applied: float = 0.0
 
 
 class ViolationKind(enum.Enum):
@@ -120,32 +113,7 @@ def joint_power(torque_nm: float, speed_rpm: float) -> float:
 
 
 # --------------------------------------------------------------------------
-# control and dynamics
-
-
-def dynamic_control(y_target: float, yd_target: float, ydd_target: float,
-                    theta_meas: float, omega_meas: float,
-                    inertia: float, kp: float, kd: float,
-                    max_torque: float) -> tuple[float, float]:
-    """Computed-torque + PD law; returns (tau_cmd, tau_demand).
-
-    ``tau_demand`` is the raw control demand, ``tau_cmd`` the value after
-    saturation to the actuator rating. The measured values are whatever the
-    sensor path delivers, faulted or not. The saturation is
-    ``max(-max_torque, min(max_torque, demand))`` written as two
-    comparisons, which give the same value for every demand, NaN included.
-    """
-    demand = inertia * ydd_target + kp * (y_target - theta_meas) + kd * (yd_target - omega_meas)
-    cmd = demand if demand < max_torque else max_torque
-    return (cmd if cmd > -max_torque else -max_torque), demand
-
-
-def joint_step(params: JointParams, state: JointState, tau: float, dt: float) -> JointState:
-    """Semi-implicit Euler step of I * d(omega)/dt = tau - b * omega."""
-    alpha = (tau - params.damping * state.omega) / params.inertia
-    omega = state.omega + alpha * dt
-    theta = state.theta + omega * dt
-    return JointState(theta, omega, tau)
+# safety checks
 
 
 def monitor(joints: list[JointParams], thetas, omegas, tau_demands,
@@ -209,15 +177,15 @@ class PlantBlock(Block):
         )
         self._state_pairs = tuple(zip(self.state_output_names[0::2],
                                       self.state_output_names[1::2]))
-        self._control_rows = tuple(
+        # per joint: the five signals the controller reads, then the two it writes
+        self._control_signals = tuple(
             (read(f"dmp.{j}.pos"), read(f"dmp.{j}.vel"), read(f"dmp.{j}.acc"),
              read(f"plant.{j}.pos"), read(f"plant.{j}.vel"),
-             p.inertia, p.max_torque, f"plant.{j}.torque", f"plant.{j}.torque_cmd")
-            for p, j in zip(self.joints, jn))
-        self._dynamics = tuple((read(f"plant.{j}.torque"), p.damping, p.inertia)
-                               for p, j in zip(self.joints, jn))
-        self._feedthrough = tuple(sig for row in self._control_rows for sig in row[:5])
-        self.inputs = self._feedthrough + tuple(sig for sig, _, _ in self._dynamics)
+             f"plant.{j}.torque", f"plant.{j}.torque_cmd")
+            for j in jn)
+        self._applied = tuple(read(f"plant.{j}.torque") for j in jn)
+        self._feedthrough = tuple(sig for row in self._control_signals for sig in row[:5])
+        self.inputs = self._feedthrough + self._applied
         self.reset()
 
     @property
@@ -228,35 +196,46 @@ class PlantBlock(Block):
         self.thetas = list(self.theta0)
         self.omegas = [0.0] * len(self.joints)
 
+    def bind(self, slots: dict[str, int]) -> None:
+        written = slot_range(slots, self.state_output_names)
+        self._thetas_written = slice(written.start, written.stop, 2)
+        self._omegas_written = slice(written.start + 1, written.stop, 2)
+        self._control_rows = tuple(
+            (*(slots[sig] for sig in row), p.inertia, p.max_torque)
+            for row, p in zip(self._control_signals, self.joints))
+        self._dynamics = tuple((slots[sig], p.damping, p.inertia)
+                               for sig, p in zip(self._applied, self.joints))
+
     def restart(self, k: int, golden, rng) -> None:
         """The angles and velocities of row ``k`` of ``golden``."""
         self.thetas = [float(golden.signal(pos)[k]) for pos, _ in self._state_pairs]
         self.omegas = [float(golden.signal(vel)[k]) for _, vel in self._state_pairs]
 
-    def state_outputs(self, t: float) -> dict[str, float]:
-        out = {}
-        for (pos, vel), theta, omega in zip(self._state_pairs, self.thetas, self.omegas):
-            out[pos] = theta
-            out[vel] = omega
-        return out
+    def state_outputs(self, t: float, values: list) -> None:
+        values[self._thetas_written] = self.thetas
+        values[self._omegas_written] = self.omegas
 
-    def emit(self, t: float, signals: dict[str, float], rng) -> dict[str, float]:
-        out = {}
+    def emit(self, t: float, values: list, rng) -> None:
+        """The computed-torque + PD law per joint: writes the raw demand and
+        the applied torque, the demand saturated to the rating by two
+        comparisons (as ``max(-m, min(m, demand))``, NaN included). The
+        measurements are whatever the sensor path delivers."""
         kp, kd = self.kp, self.kd
-        for pos, vel, acc, meas_pos, meas_vel, inertia, max_torque, torque, torque_cmd \
+        for pos, vel, acc, meas_pos, meas_vel, torque, torque_cmd, inertia, max_torque \
                 in self._control_rows:
-            out[torque], out[torque_cmd] = dynamic_control(
-                signals[pos], signals[vel], signals[acc], signals[meas_pos], signals[meas_vel],
-                inertia, kp, kd, max_torque,
-            )
-        return out
+            demand = (inertia * values[acc] + kp * (values[pos] - values[meas_pos])
+                      + kd * (values[vel] - values[meas_vel]))
+            cmd = demand if demand < max_torque else max_torque
+            values[torque] = cmd if cmd > -max_torque else -max_torque
+            values[torque_cmd] = demand
 
-    def advance(self, t: float, signals: dict[str, float], dt: float) -> None:
-        """``joint_step`` for every joint, on the state lists in place."""
+    def advance(self, t: float, values: list, dt: float) -> None:
+        """A semi-implicit Euler step of I * d(omega)/dt = tau - b * omega
+        per joint, on the state lists in place."""
         thetas, omegas = self.thetas, self.omegas
-        for i, (sig, damping, inertia) in enumerate(self._dynamics):
+        for i, (applied, damping, inertia) in enumerate(self._dynamics):
             omega = omegas[i]
-            alpha = (signals[sig] - damping * omega) / inertia
+            alpha = (values[applied] - damping * omega) / inertia
             omega += alpha * dt
             omegas[i] = omega
             thetas[i] += omega * dt
@@ -275,33 +254,34 @@ class MonitorBlock(Block):
     def __init__(self, name: str, joints: list[JointParams]):
         self.name = name
         self.joints = list(joints)
-        jn = [p.name for p in joints]
-        self.pos_signals = [f"plant.{j}.pos" for j in jn]
-        self.vel_signals = [f"plant.{j}.vel" for j in jn]
-        self.demand_signals = [f"plant.{j}.torque_cmd" for j in jn]
-        self.inputs = tuple(self.pos_signals + self.vel_signals + self.demand_signals)
+        self.inputs = tuple(f"plant.{p.name}.{field}" for field in ("pos", "vel", "torque_cmd")
+                            for p in joints)
         self.emit_output_names = ("monitor.violations",)
-        self._checks = tuple(
-            (pos, vel, demand, p.max_torque, p.max_speed, p.rot_min, p.rot_max)
-            for p, pos, vel, demand in zip(joints, self.pos_signals, self.vel_signals,
-                                           self.demand_signals))
         self.reset()
 
     def reset(self) -> None:
         self.violations: list[ViolationRecord] = []
 
+    def bind(self, slots: dict[str, int]) -> None:
+        n = len(self.joints)
+        read = [slots[sig] for sig in self.inputs]
+        self._read = (read[:n], read[n:2 * n], read[2 * n:])  # pos, vel, demand
+        self._checks = tuple(
+            (pos, vel, demand, p.max_torque, p.max_speed, p.rot_min, p.rot_max)
+            for p, pos, vel, demand in zip(self.joints, *self._read))
+        self._written = slots[self.emit_output_names[0]]
+
     def restart(self, k: int, golden, rng) -> None:
         """``experiments.simulate`` adds the golden run's records."""
 
-    def emit(self, t: float, signals: dict[str, float], rng) -> dict[str, float]:
+    def emit(self, t: float, values: list, rng) -> None:
         for pos, vel, demand, max_torque, max_speed, rot_min, rot_max in self._checks:
-            if not (abs(signals[demand]) <= max_torque and abs(signals[vel]) <= max_speed
-                    and rot_min <= signals[pos] <= rot_max):
+            if not (abs(values[demand]) <= max_torque and abs(values[vel]) <= max_speed
+                    and rot_min <= values[pos] <= rot_max):
                 break
         else:
-            return {"monitor.violations": 0.0}
-        records = monitor(self.joints, [signals[s] for s in self.pos_signals],
-                          [signals[s] for s in self.vel_signals],
-                          [signals[s] for s in self.demand_signals], t)
+            values[self._written] = 0.0
+            return
+        records = monitor(self.joints, *([values[i] for i in read] for read in self._read), t)
         self.violations.extend(records)
-        return {"monitor.violations": float(len(records))}
+        values[self._written] = float(len(records))

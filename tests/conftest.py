@@ -37,6 +37,25 @@ def stuck_spec(name="stuck", target="plant.right_knee.pos", p=0.0005,
     )
 
 
+def bind_alone(block, inputs=()):
+    """Bind ``block`` to slots of its outputs, numbered as ``BlockGraph``
+    numbers them, then of the other ``inputs``; returns the slots and a
+    value list of that length."""
+    slots = {sig: i for i, sig in enumerate(dict.fromkeys(block.output_names + tuple(inputs)))}
+    block.bind(slots)
+    return slots, [None] * len(slots)
+
+
+def emit_named(block, t, signals):
+    """``block.emit`` on a value list holding ``signals``; returns what it
+    wrote, by signal name."""
+    slots, values = bind_alone(block, tuple(signals))
+    for name, value in signals.items():
+        values[slots[name]] = value
+    block.emit(t, values, None)
+    return {name: values[slots[name]] for name in block.emit_output_names}
+
+
 @pytest.fixture(scope="session")
 def case_study_cfg():
     return load_scenario(data_path("case_study.json"))

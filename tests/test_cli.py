@@ -80,6 +80,24 @@ def test_validate_reports_an_algebraic_loop(tmp_path, capsys):
     assert "algebraic loop" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("preset", ["minimal.json", "case_study.json"])
+def test_a_non_finite_rollout_is_a_config_error_not_a_divergence(tmp_path, capsys, preset):
+    # the phase decays to 0 in one step and the forcing term to 0/0
+    raw = json.loads(data_path(preset).read_text())
+    raw["dmp"]["alpha_s"] = 1e308
+    raw["clock"]["t_end_s"] = 0.05
+    p = tmp_path / "fast_phase.json"
+    p.write_text(json.dumps(raw))
+    assert run_cli("validate", str(p)) == 1
+    assert capsys.readouterr().out.startswith("block graph: the DMP rollout is not finite")
+    assert run_cli("run", str(p), "--out", str(tmp_path / "run"), "--quiet") == 2
+    assert "block graph: the DMP rollout" in capsys.readouterr().err
+    if raw["injectors"]:
+        assert run_cli("sweep", str(p), "--durations", "0.01", "--seeds", "1", "--jobs", "1",
+                       "--out", str(tmp_path / "sweep"), "--quiet") == 2
+        assert "block graph: the DMP rollout" in capsys.readouterr().err
+
+
 def write_uneven_demo(tmp_path):
     """A one-joint demo whose second half is shifted by half a step."""
     times = [0.001 * k + (0.0005 if k >= 100 else 0.0) for k in range(200)]
@@ -96,13 +114,13 @@ def test_validate_reports_a_demo_the_fit_rejects(tmp_path, capsys):
     assert "uniformly sampled" in capsys.readouterr().out
 
 
-# the first three the DMP fit rejects, so `validate` does too; the last
-# validates, and its step count is too large to allocate
+# the first three the DMP fit rejects, so `validate` does too; the last one's
+# step count is too large to allocate, which `validate` finds in the rollout
 @pytest.mark.parametrize("section, key, value, validate_code, message", [
     pytest.param("dmp", "demo_file", "uneven.csv", 1, "uniformly sampled", id="uneven-demo"),
     pytest.param("dmp", "n_basis", 2**70, 1, "Maximum allowed size", id="n_basis=2**70"),
     pytest.param("clock", "dt_s", 5e-324, 1, "infinity", id="dt_s=5e-324"),
-    pytest.param("clock", "t_end_s", 1e300, 0, "Maximum allowed dimension", id="t_end_s=1e300"),
+    pytest.param("clock", "t_end_s", 1e300, 1, "Maximum allowed dimension", id="t_end_s=1e300"),
 ])
 def test_scenario_the_graph_cannot_take_exits_2_from_run_and_sweep(
         tmp_path, capsys, section, key, value, validate_code, message):

@@ -8,6 +8,8 @@ import pytest
 from faultbench import dmp
 from faultbench.scenario import data_path, load_demo_csv
 
+from conftest import bind_alone
+
 
 def integrate(params, T, dt=1e-3, y0=None, z0=None):
     state = dmp.DmpState(y=params.y0 if y0 is None else y0,
@@ -124,6 +126,37 @@ def test_learn_rejects_bad_demos():
         dmp.learn_weights(t, t**2, dmp.make_params(tau=1.0, g=0.0, alpha_z=1e308))
 
 
+def fit_alone(times, positions, params):
+    """The single-joint fit as it was before the joints of one system shared
+    their basis activations: the phase and ``psi`` built for this joint."""
+    dt = float(times[1] - times[0])
+    tau = float(times[-1] - times[0])
+    g, y0 = float(positions[-1]), float(positions[0])
+    vel = np.gradient(positions, dt)
+    acc = np.gradient(vel, dt)
+    f_target = tau**2 * acc - params.alpha_z * (params.beta_z * (g - positions) - tau * vel)
+    s = np.exp(-params.alpha_s * (times - times[0]) / tau)
+    gate = s * (g - y0)
+    psi = np.exp(-params.widths[:, None] * (s[None, :] - params.centers[:, None]) ** 2)
+    num = psi @ (gate * f_target)
+    den = psi @ (gate * gate)
+    weights = np.divide(num, den, out=np.zeros_like(num), where=np.abs(den) > 1e-300)
+    return tau, g, y0, tau * float(vel[0]), weights
+
+
+@pytest.mark.parametrize("demo", ["demo_gait.csv", "demo_minimal.csv"])
+def test_a_system_fit_equals_fitting_each_joint_alone(demo):
+    times, ys = load_demo_csv(data_path(demo))
+    base = dmp.make_params(tau=1.0, g=0.0)
+    fitted = dmp.learn_system_weights(times, ys, base)
+    assert len(fitted) == ys.shape[1]
+    for j, p in enumerate(fitted):
+        tau, g, y0, z0, weights = fit_alone(times, ys[:, j], base)
+        assert (p.tau, p.g, p.y0, p.z0) == (tau, g, y0, z0)
+        assert np.array_equal(p.weights, weights)
+        assert np.array_equal(dmp.learn_weights(times, ys[:, j], base).weights, weights)
+
+
 def test_shipped_demo_replay_within_one_percent():
     times, ys = load_demo_csv(data_path("demo_gait.csv"))
     for j in range(ys.shape[1]):
@@ -150,11 +183,11 @@ def test_joints_share_phase():
     block = dmp.DmpSystemBlock("dmp", ["left_knee", "right_knee"],
                                dmp.TargetTable([p, p], 1e-3, 500))
     block.reset()
-    rng = np.random.default_rng(0)
+    slots, values = bind_alone(block)
     for k in range(500):
-        out = block.state_outputs(k * 1e-3)
-        assert out["dmp.left_knee.pos"] == out["dmp.right_knee.pos"]
-        block.advance(k * 1e-3, out, 1e-3)
+        block.state_outputs(k * 1e-3, values)
+        assert values[slots["dmp.left_knee.pos"]] == values[slots["dmp.right_knee.pos"]]
+        block.advance(k * 1e-3, values, 1e-3)
 
 
 def test_velocity_is_scaled_state_identity():

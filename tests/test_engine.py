@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from faultbench import dmp, engine, faults, plant
-from faultbench.blocks import Block
+from faultbench.blocks import Block, slot_range
 from faultbench.scenario import ClockConfig
 
 from conftest import make_scenario, stuck_spec
@@ -193,8 +193,11 @@ class Drawer(Block):
     name = "drawer"
     emit_output_names = ("drawer.u",)
 
-    def emit(self, t, signals, rng):
-        return {"drawer.u": rng.random()}
+    def bind(self, slots):
+        self.slot = slots["drawer.u"]
+
+    def emit(self, t, values, rng):
+        values[self.slot] = rng.random()
 
 
 def test_only_injectors_get_a_generator():
@@ -264,19 +267,22 @@ class Emitter(Block):
     def reset(self):
         self.k = 0
 
-    def _out(self):
-        names = self.emit_output_names or self.state_output_names
+    def bind(self, slots):
+        self.written = slot_range(slots, self.emit_output_names or self.state_output_names)
+
+    def _out(self, values):
         if self.k < self.bad_step:
-            return dict.fromkeys(names, 0.0)
-        return dict(zip(names, self.values.values()))
+            values[self.written] = [0.0] * len(self.values)
+        else:
+            values[self.written] = list(self.values.values())
 
-    def state_outputs(self, t):
-        return {} if self.emit_output_names else self._out()
+    def state_outputs(self, t, values):
+        self._out(values)
 
-    def emit(self, t, signals, rng):
-        return self._out()
+    def emit(self, t, values, rng):
+        self._out(values)
 
-    def advance(self, t, signals, dt):
+    def advance(self, t, values, dt):
         self.k += 1
 
 
@@ -352,9 +358,9 @@ def test_dmp_block_leads_and_publishes_once_per_step(case_study_cfg):
     assert isinstance(block, dmp.DmpSystemBlock)
     seen = []
 
-    def counted(t, original=block.state_outputs):
+    def counted(t, values, original=block.state_outputs):
         seen.append(block.k)
-        return original(t)
+        return original(t, values)
     block.state_outputs = counted
     trace = engine.run(graph, cfg.clock, 0)
     assert seen == list(range(300))
@@ -363,8 +369,8 @@ def test_dmp_block_leads_and_publishes_once_per_step(case_study_cfg):
 
 
 class Recorder(Block):
-    """Copies ``signals`` in its emit, after every block it reads: the
-    per-step reference for the rows of a trace."""
+    """Copies the values of ``signals`` in its emit, after every block it
+    reads: the per-step reference for the rows of a trace."""
 
     def __init__(self, signals):
         self.name = "recorder"
@@ -375,9 +381,13 @@ class Recorder(Block):
     def reset(self):
         self.rows = []
 
-    def emit(self, t, signals, rng):
-        self.rows.append([signals[name] for name in self.inputs])
-        return {"recorder.rows": float(len(self.rows))}
+    def bind(self, slots):
+        self.read = [slots[name] for name in self.inputs]
+        self.written = slots["recorder.rows"]
+
+    def emit(self, t, values, rng):
+        self.rows.append([values[slot] for slot in self.read])
+        values[self.written] = float(len(self.rows))
 
 
 @pytest.mark.parametrize("n_steps", [1, 255, 256, 257, 1001])
@@ -395,6 +405,19 @@ def test_trace_rows_match_a_per_step_record(n_steps):
         want = np.array(recorder.rows)
         for name in monitored:
             assert np.array_equal(trace.signal(name), want[:, every.index(name)]), name
+
+
+def test_blocks_look_up_their_slots_on_every_run(case_study_cfg):
+    """The same blocks in reversed declaration order hold other slots; a
+    block that kept the slots of its first run would read the wrong ones."""
+    from dataclasses import replace
+    cfg = replace(case_study_cfg, clock=ClockConfig(dt_s=1e-3, t_end_s=0.5))
+    graph = engine.build_graph(cfg)
+    reversed_graph = engine.BlockGraph(graph.blocks[::-1], graph.monitored)
+    assert reversed_graph.slots != graph.slots
+    first = engine.run(graph, cfg.clock, 3)
+    assert np.array_equal(engine.run(reversed_graph, cfg.clock, 3).data, first.data)
+    assert np.array_equal(engine.run(graph, cfg.clock, 3).data, first.data)
 
 
 def test_chaining_synchrony(case_study_cfg):

@@ -397,12 +397,10 @@ PATH_PINS = {
 }
 
 
-@pytest.mark.parametrize("seed", sorted(PATH_PINS))
-def test_injector_paths_pinned(seed):
-    """Noise with a drawn repair time, a delay window, a random two-bit flip
-    at a drawn time, an endless bias, a disabled injector and a chain whose
-    downstream event never fires, on the case-study joints for 1.5 s."""
-    cfg = make_scenario(joints=JOINT_NAMES, injectors=PATH_INJECTORS,
+def pinned_outcome(injectors, seed):
+    """The run of ``injectors`` on the case-study joints for 1.5 s: the
+    sha256 of its trace.csv or its divergence message, and the logs."""
+    cfg = make_scenario(joints=JOINT_NAMES, injectors=injectors,
                         demo="demo_gait.csv", t_end=1.5)
     graph = engine.build_graph(cfg)
     try:
@@ -410,8 +408,55 @@ def test_injector_paths_pinned(seed):
         outcome = hashlib.sha256(trace.to_csv_str().encode()).hexdigest()
     except engine.NumericalDivergence as exc:
         outcome = str(exc)
-    logs = {b.name: b.activations for b in graph.blocks if isinstance(b, faults.Injector)}
-    assert (outcome, logs) == PATH_PINS[seed]
+    return outcome, {b.name: b.activations for b in graph.blocks
+                     if isinstance(b, faults.Injector)}
+
+
+@pytest.mark.parametrize("seed", sorted(PATH_PINS))
+def test_injector_paths_pinned(seed):
+    """Noise with a drawn repair time, a delay window, a random two-bit flip
+    at a drawn time, an endless bias, a disabled injector and a chain whose
+    downstream event never fires, on the case-study joints for 1.5 s."""
+    assert pinned_outcome(PATH_INJECTORS, seed) == PATH_PINS[seed]
+
+
+MORE_PATH_INJECTORS = [
+    _spec("target", "dmp.left_hip.pos", faults.Bias(0.05),
+          faults.FailureProbability(0.002), faults.ConstantTime(0.1)),
+    _spec("torque", "plant.left_knee.torque", faults.Bias(-20.0),
+          faults.FailureProbability(0.002), faults.MeanTimeToRepair(0.03, 0.01)),
+    _spec("lead", "plant.right_ankle.vel", faults.StuckAt(),
+          faults.FailureProbability(0.003), faults.ConstantTime(0.04), chain_to="lag"),
+    _spec("lag", "plant.right_ankle.pos", faults.TimeDelay(0.01),
+          faults.FailureProbability(0.0), faults.ConstantTime(0.04)),
+    _spec("blowup", "plant.right_hip.pos", faults.BitFlip(n_bits=1, bit_positions=(62,)),
+          faults.FailureProbability(0.0002), faults.Once()),
+]
+
+MORE_PATH_PINS = {
+    0: ("c70355e6cb693aea5847fb1376542356ea5040a967b233a4989d79efa2af83ad",
+        {"inj.target": [(622, 100), (1287, 100)],
+         "inj.torque": [(40, 30), (607, 31), (856, 31), (1428, 38)],
+         "inj.lead": [(955, 40), (1459, 40)], "inj.lag": [(955, 40), (1459, 40)],
+         "inj.blowup": []}),
+    1: ("19c63efa46ab0f46f271f39add616af85f9f7ff282bbd681ed4e77abac18d2bb",
+        {"inj.target": [(993, 100)], "inj.torque": [(925, 13)],
+         "inj.lead": [(1375, 40)], "inj.lag": [(1375, 40)], "inj.blowup": []}),
+    2: ("non-finite value -inf on 'plant.right_hip.torque_cmd' from block 'plant' "
+        "at t=1.171000s",
+        {"inj.target": [(491, 100), (1058, 100)],
+         "inj.torque": [(92, 49), (967, 44), (1024, 38)],
+         "inj.lead": [(146, 40), (372, 40)], "inj.lag": [(146, 40), (372, 40)],
+         "inj.blowup": [(1171, 1)]}),
+}
+
+
+@pytest.mark.parametrize("seed", sorted(MORE_PATH_PINS))
+def test_more_injector_paths_pinned(seed):
+    """A bias on a DMP target, a bias on an applied torque with a drawn
+    repair time, a time delay opened by an upstream trigger, and an exponent
+    flip whose run diverges at seed 2, on the case-study joints for 1.5 s."""
+    assert pinned_outcome(MORE_PATH_INJECTORS, seed) == MORE_PATH_PINS[seed]
 
 
 # --------------------------------------------------------------------------

@@ -2,6 +2,7 @@
 
 import math
 import struct
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -10,26 +11,55 @@ from hypothesis import strategies as st
 
 from faultbench import plant
 
+from conftest import bind_alone, emit_named
+
+
+# --------------------------------------------------------------------------
+# the one-joint reference kernels of the plant block's controller and dynamics
+
+
+class JointState(NamedTuple):
+    theta: float
+    omega: float
+    tau_applied: float = 0.0
+
+
+def dynamic_control(y_target, yd_target, ydd_target, theta_meas, omega_meas,
+                    inertia, kp, kd, max_torque):
+    """Computed-torque + PD law; returns (tau_cmd, tau_demand), the demand
+    saturated to the rating and the raw demand."""
+    demand = inertia * ydd_target + kp * (y_target - theta_meas) + kd * (yd_target - omega_meas)
+    cmd = demand if demand < max_torque else max_torque
+    return (cmd if cmd > -max_torque else -max_torque), demand
+
+
+def joint_step(params, state, tau, dt):
+    """Semi-implicit Euler step of I * d(omega)/dt = tau - b * omega."""
+    alpha = (tau - params.damping * state.omega) / params.inertia
+    omega = state.omega + alpha * dt
+    theta = state.theta + omega * dt
+    return JointState(theta, omega, tau)
+
 
 def test_dynamic_control_zero_error_zero_torque():
-    cmd, demand = plant.dynamic_control(0.3, 0.1, 0.0, 0.3, 0.1,
+    cmd, demand = dynamic_control(0.3, 0.1, 0.0, 0.3, 0.1,
                                         inertia=0.8, kp=200.0, kd=20.0, max_torque=54.9)
     assert cmd == 0.0 and demand == 0.0
 
 
 def test_dynamic_control_proportional_term():
-    cmd, demand = plant.dynamic_control(0.1, 0.0, 0.0, 0.0, 0.0,
+    cmd, demand = dynamic_control(0.1, 0.0, 0.0, 0.0, 0.0,
                                         inertia=1.0, kp=200.0, kd=0.0, max_torque=100.0)
     assert math.isclose(demand, 20.0, rel_tol=1e-12)
     assert cmd == demand
 
 
 def test_dynamic_control_saturates_at_rating():
-    cmd, demand = plant.dynamic_control(10.0, 0.0, 0.0, 0.0, 0.0,
+    cmd, demand = dynamic_control(10.0, 0.0, 0.0, 0.0, 0.0,
                                         inertia=0.8, kp=200.0, kd=20.0, max_torque=54.9)
     assert demand > 54.9
     assert cmd == 54.9
-    cmd, _ = plant.dynamic_control(-10.0, 0.0, 0.0, 0.0, 0.0,
+    cmd, _ = dynamic_control(-10.0, 0.0, 0.0, 0.0, 0.0,
                                    inertia=0.8, kp=200.0, kd=20.0, max_torque=54.9)
     assert cmd == -54.9
 
@@ -52,7 +82,7 @@ def ratings_and_demands(draw):
 def test_dynamic_control_clamp_equals_max_min(case):
     m, d = case
     # the PD terms are -0.0 and d + -0.0 is d, so the demand is d bit for bit
-    cmd, demand = plant.dynamic_control(0.0, 0.0, d, 0.0, 0.0,
+    cmd, demand = dynamic_control(0.0, 0.0, d, 0.0, 0.0,
                                         inertia=1.0, kp=-0.0, kd=-0.0, max_torque=m)
     assert _bits(demand) == _bits(d)
     assert _bits(cmd) == _bits(max(-m, min(m, d)))
@@ -64,32 +94,32 @@ def knee(**overrides):
 
 def test_joint_step_rest_is_fixed_point():
     p = knee(damping=0.3)
-    st0 = plant.JointState(theta=0.2, omega=0.0)
-    st1 = plant.joint_step(p, st0, 0.0, 1e-3)
+    st0 = JointState(theta=0.2, omega=0.0)
+    st1 = joint_step(p, st0, 0.0, 1e-3)
     assert (st1.theta, st1.omega) == (0.2, 0.0)
 
 
 def test_joint_step_unit_integration():
     p = knee(inertia=1.0, damping=0.0)
-    st1 = plant.joint_step(p, plant.JointState(0.0, 0.0), 1.0, 1e-3)
+    st1 = joint_step(p, JointState(0.0, 0.0), 1.0, 1e-3)
     assert math.isclose(st1.omega, 1e-3, rel_tol=1e-12)
 
 
 def test_joint_step_uniform_acceleration():
     # constant torque = inertia for 1 s from rest, no damping -> omega = 1
     p = knee(inertia=1.3, damping=0.0)
-    state = plant.JointState(0.0, 0.0)
+    state = JointState(0.0, 0.0)
     for _ in range(1000):
-        state = plant.joint_step(p, state, 1.3, 1e-3)
+        state = joint_step(p, state, 1.3, 1e-3)
     assert abs(state.omega - 1.0) < 1e-6
 
 
 def test_energy_non_increasing_with_damping_and_no_torque():
     p = knee(damping=0.8)
-    state = plant.JointState(0.0, 3.0)
+    state = JointState(0.0, 3.0)
     energy = 0.5 * p.inertia * state.omega**2
     for _ in range(2000):
-        state = plant.joint_step(p, state, 0.0, 1e-3)
+        state = joint_step(p, state, 0.0, 1e-3)
         e = 0.5 * p.inertia * state.omega**2
         assert e <= energy + 1e-12
         energy = e
@@ -196,30 +226,31 @@ def step_plant_block(block, targets, dt):
     """Drive ``block`` through the engine's step order with the given
     (pos, vel, acc) targets per step; returns the per-step outputs."""
     rows = []
+    slots, values = bind_alone(block, block.inputs)
     for k, step_targets in enumerate(targets):
         t = k * dt
-        signals = dict(block.state_outputs(t))
+        block.state_outputs(t, values)
         for p, triple in zip(block.joints, step_targets):
             for field, value in zip(("pos", "vel", "acc"), triple):
-                signals[f"dmp.{p.name}.{field}"] = value
-        signals.update(block.emit(t, signals, None))
-        rows.append([signals[name] for name in block.output_names])
-        block.advance(t, signals, dt)
+                values[slots[f"dmp.{p.name}.{field}"]] = value
+        block.emit(t, values, None)
+        rows.append([values[slots[name]] for name in block.output_names])
+        block.advance(t, values, dt)
     return np.array(rows)
 
 
 def step_reference_kernels(joints, kp, kd, theta0, targets, dt):
     """The same run as a loop of ``dynamic_control`` and ``joint_step``."""
-    states = [plant.JointState(theta=th, omega=0.0) for th in theta0]
+    states = [JointState(theta=th, omega=0.0) for th in theta0]
     rows = []
     for step_targets in targets:
         positions = [v for st in states for v in (st.theta, st.omega)]
         torques = []
         for p, st, (y, yd, ydd) in zip(joints, states, step_targets):
-            torques.extend(plant.dynamic_control(y, yd, ydd, st.theta, st.omega,
+            torques.extend(dynamic_control(y, yd, ydd, st.theta, st.omega,
                                                  p.inertia, kp, kd, p.max_torque))
         rows.append(positions + torques)
-        states = [plant.joint_step(p, st, tau_cmd, dt)
+        states = [joint_step(p, st, tau_cmd, dt)
                   for p, st, tau_cmd in zip(joints, states, torques[0::2])]
     return np.array(rows)
 
@@ -260,9 +291,9 @@ def test_plant_block_controller_reads_the_measured_signals_it_is_given():
     signals = dict(zip(targets, (0.1, 0.2, 30.0)))
     signals.update({"inj.a.out": -0.05, "inj.b.out": 0.4,
                     "plant.right_knee.pos": 9.0, "plant.right_knee.vel": 9.0})
-    tau_cmd, demand = plant.dynamic_control(0.1, 0.2, 30.0, -0.05, 0.4, p.inertia,
+    tau_cmd, demand = dynamic_control(0.1, 0.2, 30.0, -0.05, 0.4, p.inertia,
                                             200.0, 20.0, p.max_torque)
-    assert block.emit(0.0, signals, None) == {"plant.right_knee.torque": tau_cmd,
+    assert emit_named(block, 0.0, signals) == {"plant.right_knee.torque": tau_cmd,
                                               "plant.right_knee.torque_cmd": demand}
 
 
@@ -299,7 +330,7 @@ def test_monitor_block_records_what_monitor_returns():
                             f"plant.{p.name}.torque_cmd": tau})
         thetas, omegas, demands = (list(column) for column in zip(*step))
         records = plant.monitor(joints, thetas, omegas, demands, t)
-        assert block.emit(t, signals, None) == {"monitor.violations": float(len(records))}
+        assert emit_named(block, t, signals) == {"monitor.violations": float(len(records))}
         expected.extend(records)
     assert block.violations == expected
     kinds = {(r.joint, r.kind) for r in expected}
@@ -314,7 +345,7 @@ def test_one_joint_monitor_block():
         signals = {"plant.right_knee.pos": theta, "plant.right_knee.vel": omega,
                    "plant.right_knee.torque_cmd": tau}
         records = plant.monitor([p], [theta], [omega], [tau], float(k))
-        assert block.emit(float(k), signals, None) == {"monitor.violations": float(len(records))}
+        assert emit_named(block, float(k), signals) == {"monitor.violations": float(len(records))}
         expected.extend(records)
     assert block.violations == expected
     # at the limits and NaN inputs: nothing; past one limit: one record each
