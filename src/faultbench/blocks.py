@@ -14,14 +14,14 @@ engine calls ``bind`` with the graph's slot of every signal. A block's
 outputs get consecutive slots in ``output_names`` order (``slot_range``).
 
 Once per step the engine calls ``state_outputs(t, values)`` on every block
-that declares state outputs, then ``emit(t, values, rng)`` in topological
-order over feedthrough dependencies, then ``advance(t, values, dt)`` on every
+that declares state outputs, then ``emit(t, values)`` in topological order
+over feedthrough dependencies, then ``advance(t, values, dt)`` on every
 block whose class overrides ``Block.advance``; the first two write all their
 outputs into ``values``. A block with neither (the monitor, an injector)
-costs the step loop one ``emit`` call. ``emit``'s ``rng`` is ``None`` except
-in an injector, whose ``emit`` also returns a dict holding its trigger. The
-methods are taken from the block instance once per run and called with
-positional arguments. A run that starts late calls ``restart`` after ``bind``.
+costs the step loop one ``emit`` call. An injector's ``emit`` also returns
+a dict holding its trigger. The methods are taken from the block instance
+once per run and called with positional arguments. A run that starts late
+calls ``restart`` after ``bind``.
 """
 
 from __future__ import annotations
@@ -31,8 +31,9 @@ class Block:
     """Base block: stateless pass-through with no ports.
 
     Subclasses override the port tuples, ``bind`` and whichever step methods
-    they need. ``feedthrough_inputs`` must list exactly the inputs that
-    ``emit`` reads; the engine orders emits from it.
+    they need. ``feedthrough_inputs`` must list every input that ``emit``'s
+    outputs depend on in the same step (an injector's upstream triggers
+    through its schedule); the engine orders emits from it.
     """
 
     name: str = ""
@@ -57,15 +58,15 @@ class Block:
     def state_outputs(self, t: float, values: list) -> None:
         pass
 
-    def emit(self, t: float, values: list, rng) -> None:
+    def emit(self, t: float, values: list) -> None:
         pass
 
     def advance(self, t: float, values: list, dt: float) -> None:
         pass
 
-    def restart(self, k: int, golden, rng) -> None:
-        """Set the state of step ``k`` > 0 of a run where no injector has
-        fired, from ``golden``, that run's trace without injectors."""
+    def restart(self, k: int, golden) -> None:
+        """Set the state of step ``k`` > 0, where the first fault window
+        opens, from ``golden``, the run's trace without injectors."""
         raise NotImplementedError(f"block {self.name!r} cannot start a run at step {k}")
 
 

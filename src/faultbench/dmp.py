@@ -77,7 +77,8 @@ def make_basis(n_basis: int, alpha_s: float) -> tuple[np.ndarray, np.ndarray]:
     times = np.linspace(0.0, 1.0, n_basis)
     centers = np.exp(-alpha_s * times)
     gaps = np.diff(centers)
-    widths = WIDTH_FACTOR / gaps**2
+    with np.errstate(divide="ignore"):  # see TargetTable.rows
+        widths = WIDTH_FACTOR / gaps**2
     widths = np.append(widths, widths[-1])
     return centers, widths
 
@@ -236,7 +237,8 @@ def rollout(params: list[DmpParams], dt: float, n_steps: int) -> np.ndarray:
     table = np.empty((n_steps, 3 * len(params)))
     for start in range(0, n_steps, ROLLOUT_CHUNK):
         s_chunk = phase[start:start + ROLLOUT_CHUNK]
-        psi = np.exp(neg_widths * (s_chunk[:, None] - centers) ** 2)
+        with np.errstate(all="ignore"):  # see TargetTable.rows
+            psi = np.exp(neg_widths * (s_chunk[:, None] - centers) ** 2)
         rows = []
         for row, s, denom in zip(psi, s_chunk.tolist(), psi.sum(axis=1).tolist()):
             out = []
@@ -336,7 +338,7 @@ class DmpSystemBlock(Block):
             i = 0
         values[self._written] = self._chunk[i]
 
-    def restart(self, k: int, golden, rng) -> None:
+    def restart(self, k: int, golden) -> None:
         self.k = k
 
     def advance(self, t: float, values: list, dt: float) -> None:

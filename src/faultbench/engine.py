@@ -19,8 +19,7 @@ checked for a non-finite value before the next block runs.
 Randomness comes from one PCG64 substream per injector, derived from the
 run seed and the block name, so traces are bit-identical for a fixed
 (graph, clock, seed) and unaffected by the declaration order of unrelated
-blocks. Other blocks get ``None``, so a draw there fails at once: ``run``'s
-``start`` relies on it.
+blocks. Each injector draws its schedule from it before the first step.
 """
 
 from __future__ import annotations
@@ -196,26 +195,7 @@ def _block_seed(run_seed: int, block_name: str) -> np.random.SeedSequence:
     return np.random.SeedSequence([run_seed, int.from_bytes(digest[:8], "big")])
 
 
-def _injector_rng(run_seed: int, block) -> np.random.Generator | None:
-    """The block's own generator if it is an injector, else ``None``."""
-    if not isinstance(block, faults_mod.Injector):
-        return None
-    return np.random.Generator(np.random.PCG64(_block_seed(run_seed, block.name)))
-
-
-def first_activation(graph: BlockGraph, clock: ClockConfig, seed: int) -> int:
-    """The first step on which an injector's own event fires in a run of
-    ``graph`` with ``seed`` (see ``Injector.first_fire``), or
-    ``clock.n_steps``. Until then every injector passes its input through
-    and no trigger rises, so ``run`` may start there."""
-    first = clock.n_steps
-    for b in graph.blocks:
-        if isinstance(b, faults_mod.Injector):
-            first = b.first_fire(_injector_rng(seed, b), first)
-    return first
-
-
-def run(graph: BlockGraph, clock: ClockConfig, seed: int, start: int = 0,
+def run(graph: BlockGraph, clock: ClockConfig, seed: int,
         golden: TraceLog | None = None) -> TraceLog:
     """Execute all steps; returns the trace of monitored signals.
 
@@ -223,17 +203,18 @@ def run(graph: BlockGraph, clock: ClockConfig, seed: int, start: int = 0,
     NumericalDivergence on the first non-finite value written: publishers
     first, then ``emit_order``, each block's outputs in declaration order.
 
-    With ``start`` (at most ``first_activation``) the blocks ``restart`` on
-    that step, and the rows before it come from ``golden``, the trace of the
-    same run without injectors on at least this graph's joints: an
-    injector's output column is its target's, its trigger column 0.
+    Every block is reset and bound to ``graph.slots``, and each injector
+    draws its schedule, in ``emit_order``. With ``golden``, the trace of the
+    same run without injectors on at least this graph's joints, the blocks
+    ``restart`` at the first window, and the rows before it come from
+    ``golden``: an injector's output column is its target's, its trigger
+    column 0.
 
-    Every block is reset and bound to ``graph.slots``; then its step
-    methods are taken from the instance, so a tracer may replace them
-    there before the run, and called once per step with positional
-    arguments. Every slot starts as ``None`` and has one producer that
-    writes it every step, so a block that reads a signal before its
-    producer writes it fails on the first step run.
+    Then each block's step methods are taken from the instance, so a tracer
+    may replace them there before the run, and called once per step with
+    positional arguments. Every slot starts as ``None`` and has one
+    producer that writes it every step, so a block that reads a signal
+    before its producer writes it fails on the first step run.
     """
     steps = clock.n_steps
     dt = clock.dt_s
@@ -248,20 +229,27 @@ def run(graph: BlockGraph, clock: ClockConfig, seed: int, start: int = 0,
     rows_into = data[:, 0] if len(columns) == 1 else data
     rows: list = []
 
-    rngs = {b.name: _injector_rng(seed, b) for b in graph.blocks}
     for b in graph.blocks:
         b.reset()
         b.bind(graph.slots)
+    windows = {}  # trigger signal -> its injector's windows
+    for b in graph.emit_order:
+        if isinstance(b, faults_mod.Injector):
+            b.schedule(np.random.Generator(np.random.PCG64(_block_seed(seed, b.name))), steps,
+                       [w for sig in b.trigger_sources for w in windows[sig]])
+            windows[b.trigger_signal] = b.windows
+    start = 0 if golden is None else min(
+        (log[0][0] for log in windows.values() if log), default=steps)
     if start:
         for i, column in enumerate(columns):
             data[:start, i] = _golden_column(graph, golden, column)[:start]
         if start < steps:
             for b in graph.blocks:
-                b.restart(start, golden, rngs[b.name])
+                b.restart(start, golden)
 
     publishers = [(b.state_outputs, slot_range(graph.slots, b.state_output_names), b.name)
                   for b in graph.blocks if b.state_output_names]
-    emitters = [(b.emit, rngs[b.name], slot_range(graph.slots, b.emit_output_names), b.name)
+    emitters = [(b.emit, slot_range(graph.slots, b.emit_output_names), b.name)
                 for b in graph.emit_order]
     advancers = [b.advance for b in graph.blocks if type(b).advance is not Block.advance]
     isfinite = math.isfinite
@@ -272,8 +260,8 @@ def run(graph: BlockGraph, clock: ClockConfig, seed: int, start: int = 0,
             state_outputs(t, values)
             if not isfinite(sum(values[written])):
                 _check_finite(values, written, signals, t, name)
-        for emit, rng, written, name in emitters:
-            emit(t, values, rng)
+        for emit, written, name in emitters:
+            emit(t, values)
             if not isfinite(sum(values[written])):
                 _check_finite(values, written, signals, t, name)
         if monitored_values is not None:

@@ -11,10 +11,9 @@ injectable signal names one joint and only that joint's controller or
 dynamics read it, and the monitor checks each joint's raw signals on their
 own, so a joint no injector targets follows the reference bit for bit.
 
-The faulty run starts from the reference at ``engine.first_activation``,
-and its trace rows and violations before that step are the reference's.
-That is exact too: until then every injector passes its input through, and
-only injectors draw random numbers.
+The faulty run starts from the reference at its first fault window, and
+its trace rows and violations before that step are the reference's. That
+is exact too: until then every injector passes its input through.
 
 Root-mean-square error between a cell's faulty run and the reference on the
 faulted joint (angle, angular velocity, applied torque) quantifies the fault
@@ -131,25 +130,26 @@ def simulate(cfg: ScenarioConfig, seed: int | None = None, faults_enabled: bool 
     ``joints`` cuts the graph to those joints (see ``engine.build_graph``).
 
     With ``golden``, the run of the same scenario and seed without
-    injectors, the run starts at ``engine.first_activation`` and returns
-    what the full run returns, but for ``monitor.violations`` if ``golden``
+    injectors, the run starts at its first fault window and returns what
+    the full run returns, but for ``monitor.violations`` if ``golden``
     holds more joints.
     """
     if not faults_enabled:
         cfg = set_faults_enabled(cfg, False)
     seed = cfg.seed if seed is None else seed
     graph = engine.build_graph(cfg, joints)
-    start = 0 if golden is None else engine.first_activation(graph, cfg.clock, seed)
-    trace = engine.run(graph, cfg.clock, seed, start, None if golden is None else golden.trace)
+    trace = engine.run(graph, cfg.clock, seed, None if golden is None else golden.trace)
+    activations = {b.spec.name: tuple(b.activations) for b in graph.blocks
+                   if isinstance(b, faults.Injector)}
     monitor = graph.block("monitor")
     violations = tuple(monitor.violations)
-    if start:
+    if golden is not None:
+        start = min((log[0][0] for log in activations.values() if log),
+                    default=cfg.clock.n_steps)
         held = {p.name for p in monitor.joints}
         t_start = start * cfg.clock.dt_s
         violations = tuple(v for v in golden.violations
                            if v.joint in held and v.t < t_start) + violations
-    activations = {b.spec.name: tuple(b.activations) for b in graph.blocks
-                   if isinstance(b, faults.Injector)}
     return RunOutput(trace=trace, violations=violations,
                      classification=classify_run(violations), activations=activations)
 

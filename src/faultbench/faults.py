@@ -1,30 +1,30 @@
 """Per-signal fault injector: fault types, activation events, exposure effects.
 
-An injector sits inline on one scalar signal. Its state is its current
-exposure window, kept as two step indices: it is armed on step ``k`` when
-``k >= _armed_from`` and active when ``k < _active_until``. While armed it
-passes the signal through unchanged and watches its activation event. An
-activation opens a window drawn from the effect model; while it lasts the
-injector corrupts the signal according to its fault type. When it closes the
-injector is armed again (repeatable effects), or never (``Once``, and a
-disabled injector). A boolean trigger output mirrors the active window so
-injectors can be chained: a true trigger input forces activation of a
-downstream armed injector in the same step, regardless of the downstream
-event model.
+An injector sits inline on one scalar signal. Outside its exposure windows
+it is armed: it passes the signal through unchanged and watches its
+activation event. An activation opens a window drawn from the effect model;
+while it lasts the injector corrupts the signal according to its fault type.
+When it closes the injector is armed again (repeatable effects), or never
+(``Once``, and a disabled injector). A boolean trigger output mirrors the
+active window so injectors can be chained: a true trigger input forces
+activation of a downstream armed injector in the same step, regardless of
+the downstream event model.
+
+None of this depends on the signal: ``Injector.schedule`` draws a run's
+windows and their random values before its first step, and no step draws.
 """
 
 from __future__ import annotations
 
-import bisect
 import math
 import struct
 import sys
 from collections import deque
 from dataclasses import dataclass
 
-from .blocks import Block
+import numpy as np
 
-FIRE_SCAN_CHUNK = 1024  # draws Injector.first_fire takes at once
+from .blocks import Block
 
 # --------------------------------------------------------------------------
 # fault types
@@ -206,21 +206,20 @@ def mask_from_positions(positions) -> int:
 class Injector(Block):
     """Stateful fault injector on one scalar signal, with trigger chaining.
 
-    On step ``k`` the injector is armed if ``k >= _armed_from`` and active
-    if ``k < _active_until``; the two never hold at once. A run starts armed
-    from step 0 (never, if disabled) with no window open. An activation on
-    step ``k`` opens the window ``[k, k + steps)`` (``[k, inf)`` for a window
-    to the end of the run) and arms the injector again where it closes
-    (never after a ``Once`` window).
+    A run starts armed on step 0 (never, if disabled) with no window open.
+    An activation on step ``k`` opens the window ``[k, k + steps)``
+    (``[k, inf)`` for a window to the end of the run) and arms the injector
+    again where it closes (never after a ``Once`` window).
 
     ``trigger_sources`` are the trigger-output signal names of upstream
     injectors chained into this one; any of them being true forces
-    activation while armed.
+    activation while armed. ``emit`` does not read them: their windows
+    enter through ``schedule``.
 
-    ``activations`` logs one ``(step, steps)`` entry per activation of the
-    current run: the first step of the window and its length in steps,
-    ``None`` when it lasts to the end of the run. A zero-length window is
-    no activation and leaves no entry.
+    ``windows`` holds one ``(step, steps)`` entry per window drawn for the
+    run: its first step and its length in steps, ``None`` when it lasts to
+    the end of the run. A zero-length window is no activation and has no
+    entry. ``activations`` logs the windows the run has opened so far.
     """
 
     def __init__(self, spec: FaultSpec, dt: float, in_signal: str,
@@ -259,149 +258,151 @@ class Injector(Block):
         self.reset()
 
     def reset(self) -> None:
-        self._armed_from = 0 if self.enabled else math.inf
-        self._active_until = 0
-        self._held = 0.0
         self._step_idx = 0
-        self._scheduled_t: float | None = None
-        self._mask = self._fixed_mask or 0
+        self._held = 0.0
+        self._active_until = 0
+        self._next_start = math.inf
         # no run has more steps than a deque can hold
         self._dbuf: deque[float] | None = (
             deque(maxlen=min(self._delay_steps, sys.maxsize)) if self._delay_steps > 0 else None
         )
-        self.activations: list[tuple[int, int | None]] = []
+        self.windows: list[tuple[int, int | None]] = []
+        self.activations = []
+        self._draws: list = []  # per window: a bit mask, or noise's uniform per step
 
-    def first_fire(self, rng, limit: int) -> int:
-        """The first step before ``limit`` on which the event fires, or
-        ``limit``, drawn from a fresh copy ``rng`` of the generator: a
-        ``p``-event's first draw below ``p``, or the first step that passes
-        ``_scheduled_time_reached``'s test."""
-        if not self.enabled:
-            return limit
-        if self._p is None:
-            threshold = sample_activation_time(self.spec.event, 0.0, rng, self.dt) \
-                - 1e-9 * self.dt
-            # k * dt does not decrease with k, so the test holds from one step on
-            return bisect.bisect_left(range(limit), True,
-                                      key=lambda k: k * self.dt >= threshold)
-        if self._draws_p:
-            for start in range(0, limit, FIRE_SCAN_CHUNK):
-                fires = rng.random(min(FIRE_SCAN_CHUNK, limit - start)) < self._p
-                if fires.any():
-                    return start + int(fires.argmax())
-        return limit
+    # -- the schedule ---------------------------------------------------------
 
-    def restart(self, k: int, golden, rng) -> None:
-        """The state after ``k`` steps that fired nothing, on the inputs in
-        ``golden``'s column of the target signal."""
+    def schedule(self, rng, n_steps: int, triggers=()) -> None:
+        """Draw the windows of an ``n_steps`` run from ``rng`` after
+        ``reset``, with the upstream ``triggers`` windows as trigger line.
+
+        The draws are a stepped run's, in its order: an armed step without a
+        trigger draws its ``p`` or, first after arming, its activation time;
+        an activation draws its exposure, bit positions, then one uniform
+        per step of its window in the run.
+        """
+        spans = sorted((start, n_steps if steps is None else start + steps)
+                       for start, steps in triggers)  # [start, end) with a trigger
+        dt = self.dt
+        k = 0 if self.enabled else n_steps  # the first armed step
+        threshold = None  # a scheduled event fires once k * dt >= threshold
+        while k < n_steps:
+            while spans and spans[0][1] <= k:
+                del spans[0]
+            fire = max(spans[0][0], k) if spans else n_steps  # the next step with a trigger
+            if fire > k and self._p is None:
+                if threshold is None:
+                    threshold = sample_activation_time(self.spec.event, k * dt, rng, dt) \
+                        - 1e-9 * dt
+                fire = k + int(np.searchsorted(np.arange(k, fire) * dt, threshold))
+            elif fire > k and self._draws_p:
+                fire = self._first_draw_below_p(rng, k, fire)
+            if fire == n_steps:
+                break
+            # a window whose step count overflows a float (InfiniteTime's among
+            # them) lasts to the end of the run
+            steps = sample_exposure(self.spec.effect, rng, dt) / dt
+            steps = None if math.isinf(steps) else round(steps)
+            if steps == 0:  # degenerate empty window: stay armed
+                k = fire + 1
+                continue
+            self.windows.append((fire, steps))
+            ft = self.spec.fault_type
+            if isinstance(ft, BitFlip):
+                self._draws.append(self._fixed_mask if self._fixed_mask is not None else
+                                   mask_from_positions(rng.choice(64, size=ft.n_bits,
+                                                                  replace=False)))
+            elif isinstance(ft, Noise):
+                in_run = n_steps - fire if steps is None else min(steps, n_steps - fire)
+                self._draws.append(rng.random(in_run).tolist())
+            if steps is None or isinstance(self.spec.effect, Once):
+                break
+            k = fire + steps
+            threshold = None
+        self._next_start = self.windows[0][0] if self.windows else math.inf
+
+    def _first_draw_below_p(self, rng, k: int, stop: int) -> int:
+        """The first step in ``[k, stop)`` whose draw is below ``p``, else
+        ``stop``; takes the draws up to it from ``rng``."""
+        p = self._p
+        while k < stop:
+            n = min(stop - k, 512)  # small arrays, few draws taken twice
+            drawn_from = rng.bit_generator.state
+            below = (rng.random(n) < p).tolist()
+            if True in below:
+                i = below.index(True)
+                rng.bit_generator.state = drawn_from
+                rng.random(i + 1)
+                return k + i
+            k += n
+        return stop
+
+    def restart(self, k: int, golden) -> None:
+        """The state after ``k`` steps before the first window, on the
+        inputs in ``golden``'s column of the target signal."""
         seen = golden.signal(self.spec.target_signal)
         self._step_idx = k
-        self._held = float(seen[k - 1 if self.enabled else 0])  # kept while armed
+        self._held = float(seen[k - 1])
         if self._dbuf is not None:
             self._dbuf.extend(seen[max(0, k - self._delay_steps):k].tolist())
-        if not self.enabled:
-            return
-        if self._draws_p:
-            rng.bit_generator.advance(k)
-        elif self._p is None:
-            self._scheduled_t = sample_activation_time(self.spec.event, 0.0, rng, self.dt)
-
-    # -- state machine ------------------------------------------------------
-
-    def step(self, x: float, t: float, trigger_in: bool, rng) -> tuple[float, bool]:
-        """Process one sample; returns (output, trigger_out)."""
-        k = self._step_idx
-        self._step_idx = k + 1
-        if k == 0:
-            self._held = x
-
-        if k >= self._armed_from:
-            if trigger_in:
-                fires = True
-            elif self._p is not None:
-                fires = self._draws_p and rng.random() < self._p
-            else:
-                fires = self._scheduled_time_reached(t, rng)
-            if not fires:  # the common step: pass the sample through
-                self._held = x
-                if self._dbuf is not None:
-                    self._dbuf.append(x)
-                return x, False
-            self._activate(k, rng)
-            if k >= self._active_until:  # zero-length window
-                self._held = x
-
-        y, trig = x, False
-        if k < self._active_until:
-            y, trig = self._apply(x, k, rng), True
-        if self._dbuf is not None:
-            self._dbuf.append(x)
-        return y, trig
-
-    def _scheduled_time_reached(self, t: float, rng) -> bool:
-        if self._scheduled_t is None:
-            self._scheduled_t = sample_activation_time(self.spec.event, t, rng, self.dt)
-        return t >= self._scheduled_t - 1e-9 * self.dt
-
-    def _activate(self, k: int, rng) -> None:
-        # a window whose step count overflows a float (InfiniteTime's among
-        # them) lasts to the end of the run
-        steps = sample_exposure(self.spec.effect, rng, self.dt) / self.dt
-        steps = None if math.isinf(steps) else round(steps)
-        if steps == 0:
-            return  # degenerate empty window: stay armed
-        self._active_until = math.inf if steps is None else k + steps
-        self._armed_from = math.inf if isinstance(self.spec.effect, Once) else self._active_until
-        self._scheduled_t = None  # re-sample activation time on the next armed step
-        self.activations.append((k, steps))
-        ft = self.spec.fault_type
-        if isinstance(ft, BitFlip) and self._fixed_mask is None:
-            positions = rng.choice(64, size=ft.n_bits, replace=False)
-            self._mask = mask_from_positions(positions)
 
     # -- fault types: the output of one active step ---------------------------
 
-    def _stuck_at(self, x: float, k: int, rng) -> float:
+    def _stuck_at(self, x: float, k: int) -> float:
         return self._held
 
-    def _package_drop(self, x: float, k: int, rng) -> float:
+    def _package_drop(self, x: float, k: int) -> float:
         return self.spec.fault_type.replacement
 
-    def _bias(self, x: float, k: int, rng) -> float:
+    def _bias(self, x: float, k: int) -> float:
         return x + self.spec.fault_type.offset
 
-    def _noise(self, x: float, k: int, rng) -> float:
-        # a bound that overflows is cut to the widest range uniform() takes
+    def _noise(self, x: float, k: int) -> float:
+        # Generator.uniform(-bound, bound)'s sum; a bound that overflows is
+        # cut to the widest range uniform() takes
         bound = min(abs(x) * self.spec.fault_type.boundary_pct / 100.0,
                     sys.float_info.max / 2)
-        y = x + rng.uniform(-bound, bound)
+        y = x + (-bound + (bound - -bound) * self._drawn[k - self._start])
         while abs(y - x) > bound:  # the sum rounded past the bound
             y = math.nextafter(y, x)
         return y
 
-    def _time_delay(self, x: float, k: int, rng) -> float:
-        if k - self.activations[-1][0] < self._delay_steps:
+    def _time_delay(self, x: float, k: int) -> float:
+        if k - self._start < self._delay_steps:
             return self._held
         return self._dbuf[0]  # input from delay_steps ago; buffer is full here
 
-    def _bit_flip(self, x: float, k: int, rng) -> float:
-        return flip_bits(x, self._mask)
+    def _bit_flip(self, x: float, k: int) -> float:
+        return flip_bits(x, self._drawn)
 
     # -- block protocol -------------------------------------------------------
 
     def bind(self, slots: dict[str, int]) -> None:
         self._read = slots[self.in_signal]
-        self._trigger_slots = tuple(slots[sig] for sig in self.trigger_sources)
         self._out_slot = slots[self.out_signal]
         self._trigger_slot = slots[self.trigger_signal]
 
-    def emit(self, t: float, values: list, rng) -> dict[str, float]:
-        trigger_in = False
-        for slot in self._trigger_slots:
-            if values[slot] >= 0.5:
-                trigger_in = True
-                break
-        y, trig = self.step(float(values[self._read]), t, trigger_in, rng)
+    def emit(self, t: float, values: list) -> dict[str, float]:
+        k = self._step_idx
+        self._step_idx = k + 1
+        x = y = values[self._read]
+        active = k < self._active_until or k == self._next_start
+        if active:
+            if k >= self._active_until:  # the next window opens
+                i = len(self.activations)
+                self._start, steps = window = self.windows[i]
+                self.activations.append(window)
+                self._active_until = math.inf if steps is None else k + steps
+                self._next_start = self.windows[i + 1][0] if i + 1 < len(self.windows) else math.inf
+                if k == 0:
+                    self._held = x
+                if self._draws:
+                    self._drawn = self._draws[i]
+            y = self._apply(x, k)
+        else:  # the common step: pass the sample through
+            self._held = x
+        if self._dbuf is not None:
+            self._dbuf.append(x)
         values[self._out_slot] = y
-        trigger = values[self._trigger_slot] = 1.0 if trig else 0.0
+        trigger = values[self._trigger_slot] = 1.0 if active else 0.0
         return {self.trigger_signal: trigger}

@@ -206,7 +206,7 @@ class PlantBlock(Block):
         self._dynamics = tuple((slots[sig], p.damping, p.inertia)
                                for sig, p in zip(self._applied, self.joints))
 
-    def restart(self, k: int, golden, rng) -> None:
+    def restart(self, k: int, golden) -> None:
         """The angles and velocities of row ``k`` of ``golden``."""
         self.thetas = [float(golden.signal(pos)[k]) for pos, _ in self._state_pairs]
         self.omegas = [float(golden.signal(vel)[k]) for _, vel in self._state_pairs]
@@ -215,7 +215,7 @@ class PlantBlock(Block):
         values[self._thetas_written] = self.thetas
         values[self._omegas_written] = self.omegas
 
-    def emit(self, t: float, values: list, rng) -> None:
+    def emit(self, t: float, values: list) -> None:
         """The computed-torque + PD law per joint: writes the raw demand and
         the applied torque, the demand saturated to the rating by two
         comparisons (as ``max(-m, min(m, demand))``, NaN included). The
@@ -271,10 +271,10 @@ class MonitorBlock(Block):
             for p, pos, vel, demand in zip(self.joints, *self._read))
         self._written = slots[self.emit_output_names[0]]
 
-    def restart(self, k: int, golden, rng) -> None:
+    def restart(self, k: int, golden) -> None:
         """``experiments.simulate`` adds the golden run's records."""
 
-    def emit(self, t: float, values: list, rng) -> None:
+    def emit(self, t: float, values: list) -> None:
         for pos, vel, demand, max_torque, max_speed, rot_min, rot_max in self._checks:
             if not (abs(values[demand]) <= max_torque and abs(values[vel]) <= max_speed
                     and rot_min <= values[pos] <= rot_max):

@@ -52,8 +52,25 @@ def emit_named(block, t, signals):
     slots, values = bind_alone(block, tuple(signals))
     for name, value in signals.items():
         values[slots[name]] = value
-    block.emit(t, values, None)
+    block.emit(t, values)
     return {name: values[slots[name]] for name in block.emit_output_names}
+
+
+def drive_injector(inj, inputs, rng, triggers=None):
+    """Reset ``inj`` and schedule it from ``rng`` for a run of
+    ``len(inputs)`` steps, with ``triggers`` (one bool per step, none true
+    by default) as its trigger line, then emit it on each input in turn;
+    returns its outputs and its trigger outputs as bools."""
+    inj.reset()
+    inj.schedule(rng, len(inputs), [(k, 1) for k, on in enumerate(triggers or ()) if on])
+    slots, values = bind_alone(inj, (inj.in_signal,))
+    outs, trigs = [], []
+    for k, x in enumerate(inputs):
+        values[slots[inj.in_signal]] = float(x)
+        inj.emit(k * inj.dt, values)
+        outs.append(values[slots[inj.out_signal]])
+        trigs.append(values[slots[inj.trigger_signal]] == 1.0)
+    return outs, trigs
 
 
 @pytest.fixture(scope="session")

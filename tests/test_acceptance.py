@@ -17,7 +17,7 @@ from faultbench import cli, dmp, engine, faults, plant
 from faultbench import experiments as ex
 from faultbench.scenario import data_path, load_demo_csv, load_scenario
 
-from conftest import make_scenario
+from conftest import drive_injector, make_scenario
 
 
 @contextmanager
@@ -61,13 +61,8 @@ def test_criterion_1_fault_model_invariants():
 
         def drive(spec, xs, triggers=None, seed=1):
             inj = faults.Injector(spec, dt, in_signal="s")
-            rng = np.random.default_rng(seed)
-            outs, trigs = [], []
-            for k, x in enumerate(xs):
-                trig_in = bool(triggers[k]) if triggers is not None else False
-                y, tr = inj.step(float(x), k * dt, trig_in, rng)
-                outs.append(y)
-                trigs.append(tr)
+            outs, trigs = drive_injector(inj, xs, np.random.default_rng(seed),
+                                         None if triggers is None else triggers.tolist())
             return np.array(outs), np.array(trigs)
 
         def spec(ft, event=None, effect=None, enabled=True):
@@ -162,10 +157,7 @@ def test_criterion_2_stochastic_soundness():
         inj = faults.Injector(spec, 1e-3, in_signal="sig")
         rng = np.random.default_rng(99)
         n_steps = 2_000_000
-        activations = 0
-        for k in range(n_steps):
-            _, trig = inj.step(1.0, k * 1e-3, False, rng)
-            activations += trig
+        activations = sum(drive_injector(inj, [1.0] * n_steps, rng)[1])
         armed = n_steps - activations
         rate = activations / armed
         assert abs(rate - p) / p <= 0.10

@@ -187,51 +187,22 @@ def test_order_independence_of_unrelated_injectors():
         assert np.array_equal(tr_ab.signal(name), tr_ba.signal(name)), name
 
 
-class Drawer(Block):
-    """A block that is no injector and draws from the generator it is given."""
-
-    name = "drawer"
-    emit_output_names = ("drawer.u",)
-
-    def bind(self, slots):
-        self.slot = slots["drawer.u"]
-
-    def emit(self, t, values, rng):
-        values[self.slot] = rng.random()
-
-
-def test_only_injectors_get_a_generator():
-    # a restarted run skips the steps before an injector first fires, so a
-    # draw taken anywhere else would shift every later draw
-    clock = ClockConfig(dt_s=0.1, t_end_s=0.3)
-    with pytest.raises(AttributeError, match="NoneType"):
-        engine.run(engine.BlockGraph([Drawer()]), clock, 0)
-    cfg = make_scenario(injectors=[stuck_spec(p=1.0)], t_end=0.3)
-    graph = engine.build_graph(cfg)
-    given = {}
-
-    def spy(block):
-        emit = block.emit
-
-        def spied(t, signals, rng):
-            given[block.name] = type(rng).__name__
-            return emit(t, signals, rng)
-        return spied
-    for b in graph.blocks:
-        b.emit = spy(b)
-    engine.run(graph, cfg.clock, 0)
-    assert given == {"plant": "NoneType", "monitor": "NoneType", "inj.stuck": "Generator"}
-
-
 def test_a_block_without_restart_refuses_a_later_start():
     clock = ClockConfig(dt_s=0.1, t_end_s=0.3)
-    graph = engine.BlockGraph([Emitter("src", {"x": 1.0}, emitted=False)])
-    golden = engine.run(graph, clock, 0)
+    src = Emitter("src", {"x": 1.0}, emitted=False)
+    golden = engine.run(engine.BlockGraph([src]), clock, 0)
+
+    def bias(event):
+        spec = faults.FaultSpec(name="bias", target_signal="src.x", fault_type=faults.Bias(1.0),
+                                event=event, effect=faults.Once())
+        return faults.Injector(spec, clock.dt_s, "src.x")
+    # the injector's first window opens on step 1
+    graph = engine.BlockGraph([src, bias(faults.MeanTimeToFailure(0.1))])
     with pytest.raises(NotImplementedError, match="'src' cannot start a run at step 1"):
-        engine.run(graph, clock, 0, start=1, golden=golden)
-    # a start at the end restarts no block: every row is the golden run's
-    assert np.array_equal(engine.run(graph, clock, 0, start=3, golden=golden).data,
-                          golden.data)
+        engine.run(graph, clock, 0, golden=golden)
+    # a run without a window restarts no block: every row is the golden run's
+    graph = engine.BlockGraph([src, bias(faults.FailureProbability(0.0))], ("src.x",))
+    assert np.array_equal(engine.run(graph, clock, 0, golden=golden).data, golden.data)
 
 
 def test_non_finite_output_raises_divergence():
@@ -279,7 +250,7 @@ class Emitter(Block):
     def state_outputs(self, t, values):
         self._out(values)
 
-    def emit(self, t, values, rng):
+    def emit(self, t, values):
         self._out(values)
 
     def advance(self, t, values, dt):
@@ -385,7 +356,7 @@ class Recorder(Block):
         self.read = [slots[name] for name in self.inputs]
         self.written = slots["recorder.rows"]
 
-    def emit(self, t, values, rng):
+    def emit(self, t, values):
         self.rows.append([values[slot] for slot in self.read])
         values[self.written] = float(len(self.rows))
 

@@ -588,10 +588,10 @@ RESTARTED_RUNS = [
 
 @pytest.mark.parametrize("cfg,seed,joints,first", RESTARTED_RUNS)
 def test_a_restarted_run_returns_what_the_full_run_returns(cfg, seed, joints, first):
-    k = engine.first_activation(engine.build_graph(cfg, joints), cfg.clock, seed)
-    assert k == first if first is not None else 1 < k < cfg.clock.n_steps
     golden = ex.simulate(replace(cfg, injectors=()), seed=seed)  # every signal, every joint
     full = ex.simulate(cfg, seed=seed, joints=joints)
+    k = first_window(full, cfg.clock.n_steps)
+    assert k == first if first is not None else 1 < k < cfg.clock.n_steps
     restarted = ex.simulate(cfg, seed=seed, joints=joints, golden=golden)
     assert restarted.trace.columns == full.trace.columns
     assert np.array_equal(restarted.trace.t, full.trace.t)
@@ -602,6 +602,11 @@ def test_a_restarted_run_returns_what_the_full_run_returns(cfg, seed, joints, fi
                 column
     assert restarted.activations == full.activations
     assert restarted.violations == full.violations
+
+
+def first_window(out, n_steps=None):
+    """The first step of a run's first logged window, or ``n_steps``."""
+    return min((log[0][0] for log in out.activations.values() if log), default=n_steps)
 
 
 def run_or_divergence(cfg, **kwargs):
@@ -680,27 +685,30 @@ def test_restarted_runs_of_random_fault_mixes_match_their_full_runs(raw):
 
 def test_the_golden_run_violates_on_a_faulted_joint_before_the_restart():
     cfg = six_joints(0.7, TIGHT_HIPS, CUT_INJECTORS)
-    k = engine.first_activation(engine.build_graph(cfg), cfg.clock, CUT_SEED)
+    full = ex.simulate(cfg, seed=CUT_SEED)
+    k = first_window(full)
     golden = ex.simulate(replace(cfg, injectors=()), seed=CUT_SEED)
     assert {v.joint for v in golden.violations if v.t < k * 1e-3} == {"left_hip"}
-    assert {"noise", "up"} <= {name for name, log in ex.simulate(cfg, seed=CUT_SEED)
-                               .activations.items() if log}
+    assert {"noise", "up"} <= {name for name, log in full.activations.items() if log}
 
 
 @pytest.mark.parametrize("seed", range(12))
-def test_first_activation_is_the_first_step_any_injector_logs(case_study_cfg, seed):
+def test_a_run_logs_every_window_its_injectors_draw(case_study_cfg, seed):
     cfg = replace(case_study_cfg, clock=ClockConfig(dt_s=1e-3, t_end_s=2.0))
     graph = engine.build_graph(cfg, ("right_knee",))
-    first = engine.first_activation(graph, cfg.clock, seed)
     engine.run(graph, cfg.clock, seed)
-    logged = [log[0][0] for log in (b.activations for b in graph.blocks
-                                    if isinstance(b, faults.Injector)) if log]
-    assert first == min(logged, default=cfg.clock.n_steps)
-    # a window of no steps fires on the same step and logs nothing
+    injectors = [b for b in graph.blocks if isinstance(b, faults.Injector)]
+    assert [b.activations for b in injectors] == [b.windows for b in injectors]
+    # a window of no steps logs nothing and starts no restart: no step runs
     empty = with_injector_durations(cfg, ("knee_pos_stuck", "knee_vel_freeze"), 0.0)
     assert ex.simulate(empty, seed=seed).activations == {"knee_pos_stuck": (),
                                                          "knee_vel_freeze": ()}
-    assert engine.first_activation(engine.build_graph(empty), cfg.clock, seed) == first
+    golden = ex.simulate(replace(cfg, injectors=()), seed=seed)
+    graph = engine.build_graph(empty)
+    graph.blocks[0].state_outputs = lambda *args: pytest.fail("a step ran")
+    restarted = engine.run(graph, cfg.clock, seed, golden.trace)
+    for column in golden.trace.columns:
+        assert np.array_equal(restarted.signal(column), golden.trace.signal(column)), column
 
 
 def unskipped_cell(cfg, plan, duration, seed_index) -> ex.CellResult:

@@ -1,9 +1,10 @@
-"""Exact behaviour of the fault injector state machine and fault types."""
+"""Exact behaviour of the fault injector schedule and fault types."""
 
 import hashlib
 import math
 import struct
 import sys
+from collections import deque
 
 import numpy as np
 import pytest
@@ -13,7 +14,7 @@ from hypothesis import strategies as st
 from faultbench import engine, faults
 from faultbench.plant import JOINT_NAMES
 
-from conftest import make_scenario
+from conftest import bind_alone, drive_injector, make_scenario
 
 DT = 1e-3
 
@@ -31,14 +32,8 @@ def make_injector(fault_type, event=None, effect=None, enabled=True, dt=DT):
 
 
 def drive(inj, inputs, triggers=None, seed=1):
-    rng = np.random.default_rng(seed)
-    triggers = triggers or [False] * len(inputs)
-    outs, trigs = [], []
-    for k, (x, tr) in enumerate(zip(inputs, triggers)):
-        y, t = inj.step(float(x), k * inj.dt, tr, rng)
-        outs.append(y)
-        trigs.append(t)
-    return outs, trigs
+    """Schedule ``inj`` from ``default_rng(seed)`` and step it on ``inputs``."""
+    return drive_injector(inj, inputs, np.random.default_rng(seed), triggers)
 
 
 # --------------------------------------------------------------------------
@@ -290,22 +285,6 @@ def test_mttf_fires_at_scheduled_step():
         assert inj.activations == log
 
 
-class CountingRng:
-    """A generator that counts the draws taken from it."""
-
-    def __init__(self, seed=1):
-        self._rng = np.random.default_rng(seed)
-        self.draws = 0
-
-    def __getattr__(self, name):
-        draw = getattr(self._rng, name)
-
-        def counted(*args, **kwargs):
-            self.draws += 1
-            return draw(*args, **kwargs)
-        return counted
-
-
 @pytest.mark.parametrize("fault_type,effect,draws_per_armed_step", [
     (faults.PackageDrop(0.0), faults.ConstantTime(0.005), 0),
     (faults.StuckAt(), faults.MeanTimeToRepair(0.005, 0.0), 0),
@@ -317,12 +296,12 @@ class CountingRng:
 def test_p_zero_draws_only_where_the_generator_is_read_elsewhere(fault_type, effect,
                                                                  draws_per_armed_step):
     inj = make_injector(fault_type, event=faults.FailureProbability(0.0), effect=effect)
-    rng = CountingRng()
-    for k in range(10):
-        assert inj.step(1.0, k * DT, False, rng) == (1.0, False)
-    assert rng.draws == 10 * draws_per_armed_step
+    rng, drawn = _generator(1), _generator(1)
+    assert drive(inj, [1.0] * 10, seed=rng) == ([1.0] * 10, [False] * 10)
+    drawn.random(10 * draws_per_armed_step)
+    assert rng.bit_generator.state == drawn.bit_generator.state
     # a trigger still opens a window
-    assert inj.step(1.0, 10 * DT, True, rng)[1]
+    assert drive(inj, [1.0] * 11, triggers=[False] * 10 + [True])[1][10]
     assert inj.activations and inj.activations[0][0] == 10
 
 
@@ -460,7 +439,7 @@ def test_more_injector_paths_pinned(seed):
 
 
 # --------------------------------------------------------------------------
-# restarting an injector at the first step on which it can fire
+# the schedule: the windows of a run, drawn before its first step
 
 
 def _generator(seed=4):
@@ -492,42 +471,223 @@ def test_restart_sets_the_state_of_the_steps_it_skips(fault_type, event, effect,
     inputs = _generator(9).normal(size=400)
     golden = engine.TraceLog(columns=("sig",), t=np.arange(400) * DT, data=inputs[:, None])
     stepped = make_injector(fault_type, event, effect, enabled)
-    k = min(stepped.first_fire(_generator(), 400), 150)
-    stepped_rng = _generator()
+    stepped.schedule(_generator(), 400)
+    k = min(stepped.windows[0][0] if stepped.windows else 400, 150)
+    slots, values = bind_alone(stepped, ("sig",))
     for i in range(k):
-        assert stepped.step(float(inputs[i]), i * DT, False, stepped_rng) == (inputs[i], False)
+        values[slots["sig"]] = float(inputs[i])
+        assert stepped.emit(i * DT, values) == {"inj.x.trigger": 0.0}
+        assert values[slots["inj.x.out"]] == inputs[i]
     restarted = make_injector(fault_type, event, effect, enabled)
-    restarted_rng = _generator()
-    restarted.restart(k, golden, restarted_rng)
+    restarted.schedule(_generator(), 400)
+    bind_alone(restarted, ("sig",))
+    restarted.restart(k, golden)
 
     def state(inj):
         return {name: list(v) if name == "_dbuf" and v is not None else v
                 for name, v in vars(inj).items() if name != "_apply"}
     assert 0 < k and state(restarted) == state(stepped)
-    assert restarted_rng.bit_generator.state == stepped_rng.bit_generator.state
-    for i in range(k, 400):  # and the steps after it
-        assert restarted.step(float(inputs[i]), i * DT, False, restarted_rng) \
-            == stepped.step(float(inputs[i]), i * DT, False, stepped_rng)
+    outs = []
+    for inj in (restarted, stepped):  # and the steps after it
+        slots, values = bind_alone(inj, ("sig",))
+        out = []
+        for i in range(k, 400):
+            values[slots["sig"]] = float(inputs[i])
+            out.append((inj.emit(i * DT, values), values[slots["inj.x.out"]]))
+        outs.append(out)
+    assert outs[0] == outs[1]
     assert restarted.activations == stepped.activations
 
 
 @pytest.mark.parametrize("fault_type,event,effect,enabled", RESTART_CASES)
 @pytest.mark.parametrize("seed", range(4))
-def test_first_fire_is_the_first_window_of_a_run(fault_type, event, effect, enabled, seed):
+def test_the_first_window_is_the_first_activation_of_a_run(fault_type, event, effect,
+                                                           enabled, seed):
     inj = make_injector(fault_type, event, effect, enabled)
-    first = inj.first_fire(_generator(seed), 400)
     drive(inj, [1.0] * 400, seed=_generator(seed))
-    assert first == (inj.activations[0][0] if inj.activations else 400)
-    assert inj.first_fire(_generator(seed), first // 2) == first // 2
+    assert inj.windows == inj.activations  # a run opens every window drawn for it
+    first = inj.windows[0][0] if inj.windows else 400
+    # a shorter run draws the windows that start inside it
+    for n_steps, windows in ((first + 1, inj.windows[:1]), (first // 2, [])):
+        short = make_injector(fault_type, event, effect, enabled)
+        short.schedule(_generator(seed), n_steps)
+        assert short.windows == windows
 
 
-def test_first_fire_counts_a_window_of_no_steps():
-    # a zero-length window fires and logs nothing
+def test_a_window_of_no_steps_is_not_scheduled():
+    # it fires and logs nothing, so a run restarts at no such window
     empty = make_injector(faults.StuckAt(), faults.FailureProbability(0.01),
                           faults.ConstantTime(0.0))
     logged = make_injector(faults.StuckAt(), faults.FailureProbability(0.01),
                            faults.ConstantTime(0.005))
     drive(empty, [1.0] * 400, seed=_generator())
     drive(logged, [1.0] * 400, seed=_generator())
-    assert empty.activations == [] and logged.activations
-    assert empty.first_fire(_generator(), 400) == logged.activations[0][0]
+    assert empty.windows == empty.activations == [] and logged.activations
+
+
+# --------------------------------------------------------------------------
+# the schedule against the online state machine it replaced
+
+
+class OnlineInjector:
+    """The injector as a state machine that draws on each step: the
+    reference ``Injector.schedule`` and ``Injector.emit`` must match, draw
+    for draw. On step ``k`` it is armed if ``k >= _armed_from`` and active
+    if ``k < _active_until``; the two never hold at once."""
+
+    def __init__(self, spec: faults.FaultSpec, dt: float):
+        self.spec = spec
+        self.dt = dt
+        ft = spec.fault_type
+        self._delay_steps = round(ft.delay / dt) if isinstance(ft, faults.TimeDelay) else 0
+        if isinstance(ft, faults.BitFlip) and ft.bit_positions != "random":
+            self._fixed_mask = faults.mask_from_positions(ft.bit_positions)
+        else:
+            self._fixed_mask = None
+        self._p = spec.event.p if isinstance(spec.event, faults.FailureProbability) else None
+        draws_elsewhere = (isinstance(ft, faults.Noise)
+                           or isinstance(ft, faults.BitFlip) and self._fixed_mask is None
+                           or isinstance(spec.effect, faults.MeanTimeToRepair)
+                           and spec.effect.sigma > 0.0)
+        self._draws_p = self._p is not None and (self._p > 0.0 or draws_elsewhere)
+        self._armed_from = 0 if spec.enabled else math.inf
+        self._active_until = 0
+        self._held = 0.0
+        self._step_idx = 0
+        self._scheduled_t = None
+        self._mask = self._fixed_mask or 0
+        self._dbuf = (deque(maxlen=min(self._delay_steps, sys.maxsize))
+                      if self._delay_steps > 0 else None)
+        self.activations = []
+
+    def step(self, x: float, t: float, trigger_in: bool, rng) -> tuple[float, bool]:
+        """Process one sample; returns (output, trigger_out)."""
+        k = self._step_idx
+        self._step_idx = k + 1
+        if k == 0:
+            self._held = x
+        if k >= self._armed_from:
+            if trigger_in:
+                fires = True
+            elif self._p is not None:
+                fires = self._draws_p and rng.random() < self._p
+            else:
+                fires = self._scheduled_time_reached(t, rng)
+            if not fires:
+                self._held = x
+                if self._dbuf is not None:
+                    self._dbuf.append(x)
+                return x, False
+            self._activate(k, rng)
+            if k >= self._active_until:  # zero-length window
+                self._held = x
+        y, trig = x, False
+        if k < self._active_until:
+            y, trig = self._apply(x, k, rng), True
+        if self._dbuf is not None:
+            self._dbuf.append(x)
+        return y, trig
+
+    def _scheduled_time_reached(self, t: float, rng) -> bool:
+        if self._scheduled_t is None:
+            self._scheduled_t = faults.sample_activation_time(self.spec.event, t, rng, self.dt)
+        return t >= self._scheduled_t - 1e-9 * self.dt
+
+    def _activate(self, k: int, rng) -> None:
+        steps = faults.sample_exposure(self.spec.effect, rng, self.dt) / self.dt
+        steps = None if math.isinf(steps) else round(steps)
+        if steps == 0:
+            return  # degenerate empty window: stay armed
+        self._active_until = math.inf if steps is None else k + steps
+        self._armed_from = (math.inf if isinstance(self.spec.effect, faults.Once)
+                            else self._active_until)
+        self._scheduled_t = None
+        self.activations.append((k, steps))
+        ft = self.spec.fault_type
+        if isinstance(ft, faults.BitFlip) and self._fixed_mask is None:
+            self._mask = faults.mask_from_positions(rng.choice(64, size=ft.n_bits,
+                                                               replace=False))
+
+    def _apply(self, x: float, k: int, rng) -> float:
+        ft = self.spec.fault_type
+        if isinstance(ft, faults.StuckAt):
+            return self._held
+        if isinstance(ft, faults.PackageDrop):
+            return ft.replacement
+        if isinstance(ft, faults.Bias):
+            return x + ft.offset
+        if isinstance(ft, faults.Noise):
+            bound = min(abs(x) * ft.boundary_pct / 100.0, sys.float_info.max / 2)
+            y = x + rng.uniform(-bound, bound)
+            while abs(y - x) > bound:
+                y = math.nextafter(y, x)
+            return y
+        if isinstance(ft, faults.TimeDelay):
+            if k - self.activations[-1][0] < self._delay_steps:
+                return self._held
+            return self._dbuf[0]
+        return faults.flip_bits(x, self._mask)
+
+
+EDGE_INPUTS = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e308, -1e308]
+
+
+@st.composite
+def fault_specs(draw):
+    fault_type = draw(st.one_of(
+        st.just(faults.StuckAt()),
+        st.builds(faults.PackageDrop, st.floats(-10.0, 10.0)),
+        st.builds(faults.Bias, st.floats(-10.0, 10.0)),
+        st.builds(faults.Noise, st.sampled_from([0.0, 5.0, 150.0, 1e308])),
+        st.builds(faults.TimeDelay, st.integers(1, 20).map(lambda n: n * DT)),
+        st.builds(faults.BitFlip, st.integers(1, 64)),
+        st.sets(st.integers(0, 63), min_size=1, max_size=3).map(
+            lambda bits: faults.BitFlip(len(bits), tuple(sorted(bits)))),
+    ))
+    event = draw(st.one_of(
+        st.builds(faults.FailureProbability, st.sampled_from([0.0, 0.005, 0.05, 0.5, 1.0])),
+        st.builds(faults.MeanTimeToFailure, st.floats(0.0, 0.1),
+                  st.sampled_from([0.0, 0.01, 0.05])),
+    ))
+    effect = draw(st.one_of(
+        st.just(faults.Once()), st.just(faults.InfiniteTime()),
+        st.builds(faults.ConstantTime, st.sampled_from([0.0, 0.4 * DT, DT, 5 * DT, 0.03])),
+        st.builds(faults.MeanTimeToRepair, st.floats(0.0, 0.03),
+                  st.sampled_from([0.0, 0.005])),
+    ))
+    return faults.FaultSpec(name="x", target_signal="sig", fault_type=fault_type,
+                            event=event, effect=effect,
+                            enabled=draw(st.sampled_from([True, True, True, False])))
+
+
+@settings(max_examples=300, deadline=None)
+@given(spec=fault_specs(), n_steps=st.integers(0, 400), seed=st.integers(0, 2**32),
+       pool=st.lists(st.one_of(st.sampled_from(EDGE_INPUTS),
+                               st.floats(allow_nan=False, allow_infinity=False)),
+                     min_size=1, max_size=6),
+       windows=st.lists(st.tuples(st.integers(0, 399), st.integers(1, 30)), max_size=4))
+def test_the_schedule_steps_as_the_online_state_machine(spec, n_steps, seed, pool, windows):
+    """Outputs bit for bit, trigger line, activation log and the generator's
+    final state, on inputs drawn from ``pool`` and a trigger line of up to
+    four windows."""
+    inputs = [pool[i] for i in _generator(seed + 1).integers(len(pool), size=n_steps)]
+    triggers = [any(start <= k < start + length for start, length in windows)
+                for k in range(n_steps)]
+    online, rng = OnlineInjector(spec, DT), _generator(seed)
+    expected = [online.step(x, k * DT, triggers[k], rng) for k, x in enumerate(inputs)]
+    scheduled, drawn = faults.Injector(spec, DT, in_signal="sig"), _generator(seed)
+    outs, trigs = drive_injector(scheduled, inputs, drawn, triggers)
+    assert [struct.pack("<d", y) for y in outs] == [struct.pack("<d", y) for y, _ in expected]
+    assert trigs == [trig for _, trig in expected]
+    assert scheduled.windows == scheduled.activations == online.activations
+    assert drawn.bit_generator.state == rng.bit_generator.state
+
+
+@given(x=st.one_of(st.sampled_from(EDGE_INPUTS), st.floats(allow_nan=False, allow_infinity=False)),
+       pct=st.one_of(st.floats(0.0, 1e3), st.just(1e308)), seed=st.integers(0, 2**32))
+def test_noise_is_uniform_arithmetic_on_the_raw_draw(x, pct, seed):
+    # the same bound as Injector._noise, capped at half the float range
+    b = min(abs(x) * pct / 100.0, sys.float_info.max / 2)
+    raw, uniform = _generator(seed), _generator(seed)
+    for _ in range(8):
+        assert x + (-b + (b - -b) * raw.random()) == x + uniform.uniform(-b, b)

@@ -11,6 +11,8 @@ import numpy as np
 
 from faultbench import faults
 
+from conftest import drive_injector
+
 DT = 1e-3
 
 
@@ -44,10 +46,7 @@ def test_failure_probability_rate_chi_square():
     inj = faults.Injector(spec, DT, in_signal="sig")
     rng = np.random.default_rng(99)
     n_steps = 2_000_000
-    activations = 0
-    for k in range(n_steps):
-        _, trig = inj.step(1.0, k * DT, False, rng)
-        activations += trig
+    activations = sum(drive_injector(inj, [1.0] * n_steps, rng)[1])
     armed_steps = n_steps - activations
     rate = activations / armed_steps
     assert abs(rate - p) / p <= 0.10
@@ -74,11 +73,7 @@ def test_expected_activation_count_per_run():
     for r in range(n_runs):
         inj = faults.Injector(spec, DT, in_signal="sig")
         rng = np.random.default_rng(np.random.SeedSequence([123, r]))
-        c = 0
-        for k in range(n_steps):
-            _, trig = inj.step(0.0, k * DT, False, rng)
-            c += trig
-        counts[r] = c
+        counts[r] = sum(drive_injector(inj, [0.0] * n_steps, rng)[1])
     # Binomial mean 3.5, sd of the sample mean ~ 1.87 / sqrt(400) = 0.094
     assert abs(counts.mean() - 3.5) < 0.35
 
@@ -92,6 +87,6 @@ def test_bit_choice_without_replacement():
         effect=faults.Once(),
     )
     inj = faults.Injector(spec, DT, in_signal="sig")
-    inj.step(1.0, 0.0, False, rng)
+    inj.schedule(rng, 1)
     # all 64 distinct bits flipped: the full complement mask
-    assert inj._mask == 2**64 - 1
+    assert inj._draws == [2**64 - 1]

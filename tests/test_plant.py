@@ -233,7 +233,7 @@ def step_plant_block(block, targets, dt):
         for p, triple in zip(block.joints, step_targets):
             for field, value in zip(("pos", "vel", "acc"), triple):
                 values[slots[f"dmp.{p.name}.{field}"]] = value
-        block.emit(t, values, None)
+        block.emit(t, values)
         rows.append([values[slots[name]] for name in block.output_names])
         block.advance(t, values, dt)
     return np.array(rows)
