@@ -26,7 +26,7 @@ from pathlib import Path
 from . import engine, experiments, svgplot
 from .experiments import Classification
 from .scenario import (ScenarioConfig, ScenarioError, ScenarioParseError, load_scenario,
-                       load_scenario_file)
+                       load_scenario_file, set_faults_enabled)
 
 EXIT_OK = 0
 EXIT_VIOLATIONS = 1
@@ -155,9 +155,10 @@ def cmd_run(args) -> int:
         return EXIT_CONFIG
 
     seed = cfg.seed if args.seed is None else args.seed
+    if args.disable_faults:
+        cfg = set_faults_enabled(cfg, False)
     try:
-        out = experiments.simulate(cfg, seed=seed,
-                                   faults_enabled=not args.disable_faults)
+        out = experiments.simulate(cfg, seed=seed)
     except GRAPH_ERRORS as exc:
         print(f"block graph: {exc}", file=sys.stderr)
         return EXIT_CONFIG

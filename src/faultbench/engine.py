@@ -337,9 +337,9 @@ def build_graph(cfg: ScenarioConfig, joints: tuple[str, ...] | None = None) -> B
     """Wire trajectory generator, plant, injectors, and monitor as declared.
 
     Injectors targeting the same signal are chained in declaration order;
-    every consumer except the monitor then reads the end of the chain. The
-    monitor always reads the raw plant signals, because the safety verdict
-    concerns the physical state, not the sensor view. Per joint ``<j>``:
+    every consumer then reads the end of the chain, except that the monitor
+    reads the raw angle and velocity, because the safety verdict concerns
+    the physical state, not the sensor view. Per joint ``<j>``:
 
     =====================  ===================================  ===========
     injectable signal      read through the chain by            phase
@@ -348,6 +348,7 @@ def build_graph(cfg: ScenarioConfig, joints: tuple[str, ...] | None = None) -> B
     ``dmp.<j>.acc``        plant controller (feedforward)       emit
     ``plant.<j>.pos/vel``  plant controller (measurements)      emit
     ``plant.<j>.torque``   plant dynamics (applied torque)      advance
+    ``plant.<j>.torque``   monitor (torque rating)              emit
     =====================  ===================================  ===========
 
     Only the monitor reads ``plant.<j>.torque_cmd``, and raw; nothing reads
@@ -397,7 +398,7 @@ def build_graph(cfg: ScenarioConfig, joints: tuple[str, ...] | None = None) -> B
         "plant", joint_params, cfg.control.kp, cfg.control.kd,
         theta0=[theta0[i] for i in indices], reads=chain_end,
     )
-    monitor_block = plant_mod.MonitorBlock("monitor", joint_params)
+    monitor_block = plant_mod.MonitorBlock("monitor", joint_params, reads=chain_end)
 
     blocks = [dmp_block, plant_block, monitor_block] + injectors
     return BlockGraph(blocks, monitored=cfg.monitors.signals)

@@ -3,22 +3,21 @@
 Every run, single or in a sweep, goes through :func:`simulate`. For every
 (duration, seed) cell a sweep runs the scenario twice with the same seed:
 once without its injectors (the fault-free reference, or golden run) and
-once with them (faulty). The reference simulates every joint. The faulty run
-simulates only the joints some injector targets, and the cell is classified
-from its safety violations merged with the reference's on the other joints,
-in the monitor's order. That is exact: the DMP is open-loop per joint, every
-injectable signal names one joint and only that joint's controller or
-dynamics read it, and the monitor checks each joint's raw signals on their
-own, so a joint no injector targets follows the reference bit for bit.
-
-The faulty run starts from the reference at its first fault window, and
-its trace rows and violations before that step are the reference's. That
-is exact too: until then every injector passes its input through.
+once with them (faulty), as ``simulate(cfg, seed, reference)``. The
+reference simulates every joint. The faulty run simulates only the joints
+some injector targets, from the first fault window on, and returns the
+violations of the full run: its own, and the reference's on the other
+joints and before that window, in the monitor's order. That is exact: the
+DMP is open-loop per joint, every injectable signal names one joint and only
+that joint's controller, dynamics or torque check reads it, and the monitor
+checks each joint on its own, so a joint no injector targets follows the
+reference bit for bit; and until the first window every injector passes its
+input through.
 
 Root-mean-square error between a cell's faulty run and the reference on the
 faulted joint (angle, angular velocity, applied torque) quantifies the fault
-impact; the merged violations classify the cell as Nominal, Error, or
-Failure. Whatever the scenario's ``monitors`` list says, the faulty run of
+impact; the violations classify the cell as Nominal, Error, or Failure.
+Whatever the scenario's ``monitors`` list says, the faulty run of
 a cell records exactly the three columns the cell reads: the faulted joint's
 angle, angular velocity and applied torque. The reference also records what
 the faulty run restarts from. The cell's activation
@@ -47,8 +46,7 @@ import numpy as np
 
 from . import engine, faults
 from .plant import ViolationKind, ViolationRecord
-from .scenario import (MonitorConfig, ScenarioConfig, set_faults_enabled,
-                       with_injector_durations)
+from .scenario import MonitorConfig, ScenarioConfig, with_injector_durations
 
 FINE_DURATIONS = tuple(round(0.05 * (i + 1), 10) for i in range(10))      # 0.05 .. 0.5
 COARSE_DURATIONS = tuple(round(0.5 + 0.25 * i, 10) for i in range(11))    # 0.5 .. 3.0
@@ -123,33 +121,36 @@ class RunOutput:
     activations: dict[str, tuple[tuple[int, int | None], ...]]
 
 
-def simulate(cfg: ScenarioConfig, seed: int | None = None, faults_enabled: bool = True,
-             joints: tuple[str, ...] | None = None,
-             golden: RunOutput | None = None) -> RunOutput:
-    """Build and execute one run; seed defaults to the scenario seed, and
-    ``joints`` cuts the graph to those joints (see ``engine.build_graph``).
+def simulate(cfg: ScenarioConfig, seed: int | None = None,
+             reference: RunOutput | None = None) -> RunOutput:
+    """Build and execute one run; seed defaults to the scenario seed.
 
-    With ``golden``, the run of the same scenario and seed without
-    injectors, the run starts at its first fault window and returns what
-    the full run returns, but for ``monitor.violations`` if ``golden``
-    holds more joints.
+    With ``reference``, the run of the same scenario and seed without
+    injectors, the graph holds only the joints some injector targets (see
+    ``engine.build_graph``) and the run starts at its first fault window
+    (see ``engine.run``). It returns the full run's violations,
+    classification and activations, and the held joints' columns of its
+    trace; before the first window its ``monitor.violations`` column counts
+    the reference's records over every joint, from then on the held joints'
+    records only.
     """
-    if not faults_enabled:
-        cfg = set_faults_enabled(cfg, False)
     seed = cfg.seed if seed is None else seed
+    joints = None if reference is None else _faulted_joints(cfg)
     graph = engine.build_graph(cfg, joints)
-    trace = engine.run(graph, cfg.clock, seed, None if golden is None else golden.trace)
+    trace = engine.run(graph, cfg.clock, seed, None if reference is None else reference.trace)
     activations = {b.spec.name: tuple(b.activations) for b in graph.blocks
                    if isinstance(b, faults.Injector)}
-    monitor = graph.block("monitor")
-    violations = tuple(monitor.violations)
-    if golden is not None:
-        start = min((log[0][0] for log in activations.values() if log),
-                    default=cfg.clock.n_steps)
-        held = {p.name for p in monitor.joints}
-        t_start = start * cfg.clock.dt_s
-        violations = tuple(v for v in golden.violations
-                           if v.joint in held and v.t < t_start) + violations
+    violations = graph.block("monitor").violations
+    if reference is not None:
+        t_start = cfg.clock.dt_s * min((log[0][0] for log in activations.values() if log),
+                                       default=cfg.clock.n_steps)
+        # plant.monitor's order: by step, then by joint declaration order,
+        # each joint's records in the order they were made
+        order = {j: i for i, j in enumerate(cfg.joint_names)}
+        violations = sorted(violations + [v for v in reference.violations
+                                          if v.joint not in joints or v.t < t_start],
+                            key=lambda v: (v.t, order[v.joint]))
+    violations = tuple(violations)
     return RunOutput(trace=trace, violations=violations,
                      classification=classify_run(violations), activations=activations)
 
@@ -243,18 +244,9 @@ def _faulted_joints(cfg: ScenarioConfig) -> tuple[str, ...]:
     return tuple(j for j in cfg.joint_names if j in targeted)
 
 
-def _merged_violations(cut, joints, reference, joint_names) -> list[ViolationRecord]:
-    """The violations of a run cut to ``joints`` and the reference's on the
-    other joints, in ``plant.monitor``'s order: by step, then by joint
-    declaration order, each joint's records in the order they were made."""
-    order = {j: i for i, j in enumerate(joint_names)}
-    merged = list(cut) + [v for v in reference if v.joint not in joints]
-    return sorted(merged, key=lambda v: (v.t, order[v.joint]))
-
-
-def _golden_signals(cfg: ScenarioConfig, joints: tuple[str, ...]) -> tuple[str, ...]:
+def _golden_signals(cfg: ScenarioConfig) -> tuple[str, ...]:
     """The columns the cell reads and its faulty run restarts from."""
-    restart = [f"plant.{j}.{field}" for j in joints for field in ("pos", "vel")]
+    restart = [f"plant.{j}.{field}" for j in _faulted_joints(cfg) for field in ("pos", "vel")]
     return tuple(dict.fromkeys([*cfg.monitors.signals, *restart,
                                 *(spec.target_signal for spec in cfg.injectors)]))
 
@@ -263,18 +255,14 @@ def _run_cell(cfg: ScenarioConfig, varied: tuple[str, ...], primary: str,
               joint: str, duration: float, seed_index: int,
               base_seed: int) -> CellResult:
     seed = cell_seed(base_seed, seed_index)
-    joints = _faulted_joints(cfg)
-    golden = replace(cfg, injectors=(),
-                     monitors=MonitorConfig(signals=_golden_signals(cfg, joints)))
+    golden = replace(cfg, injectors=(), monitors=MonitorConfig(signals=_golden_signals(cfg)))
     try:
-        reference = simulate(golden, seed=seed, faults_enabled=False)
+        reference = simulate(golden, seed=seed)
         out = simulate(with_injector_durations(cfg, varied, duration), seed=seed,
-                       joints=joints, golden=reference)
+                       reference=reference)
     except engine.NumericalDivergence as exc:
         raise engine.NumericalDivergence(exc.t, exc.block, exc.signal, exc.value,
                                          cell=(duration, seed_index)) from None
-    violations = _merged_violations(out.violations, joints, reference.violations,
-                                    cfg.joint_names)
 
     n_act, min_gap = _activation_windows(out.activations[primary], cfg.clock.dt_s)
     rmse_pos, rmse_vel, rmse_torque = map(rmse, _joint_columns(out.trace, joint),
@@ -285,7 +273,7 @@ def _run_cell(cfg: ScenarioConfig, varied: tuple[str, ...], primary: str,
         rmse_pos=rmse_pos,
         rmse_vel=rmse_vel,
         rmse_torque=rmse_torque,
-        classification=classify_run(violations),
+        classification=out.classification,
         n_activations=n_act,
         min_gap_s=min_gap,
     )
@@ -450,10 +438,6 @@ class ProbeOutcome:
     diverged: bool
 
 
-def _single_injector(cfg: ScenarioConfig, spec: faults.FaultSpec) -> ScenarioConfig:
-    return replace(cfg, injectors=(spec,))
-
-
 def run_bitflip_study(cfg: ScenarioConfig, joint: str, bits, n_seeds: int,
                       base_seed: int = 0) -> list[ProbeOutcome]:
     """Flip one random bit (from ``bits``) of the joint angle reading, once
@@ -471,7 +455,7 @@ def run_bitflip_study(cfg: ScenarioConfig, joint: str, bits, n_seeds: int,
             event=faults.MeanTimeToFailure(mttf=t_fire, sigma=0.0),
             effect=faults.Once(),
         )
-        outcomes.append(_probe_once(_single_injector(cfg, spec),
+        outcomes.append(_probe_once(replace(cfg, injectors=(spec,)),
                                     cell_seed(base_seed, i), i, f"bit={bit}"))
     return outcomes
 
@@ -496,8 +480,8 @@ def run_small_fault_probes(cfg: ScenarioConfig, joint: str, n_seeds: int,
             effect=faults.ConstantTime(duration=0.1),
         )
         seed = cell_seed(base_seed, i)
-        results["spike"].append(_probe_once(_single_injector(cfg, spike), seed, i, "spike"))
-        results["offset"].append(_probe_once(_single_injector(cfg, offset), seed, i, "offset"))
+        for kind, spec in (("spike", spike), ("offset", offset)):
+            results[kind].append(_probe_once(replace(cfg, injectors=(spec,)), seed, i, kind))
     return results
 
 

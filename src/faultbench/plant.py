@@ -5,7 +5,7 @@ I * d(omega)/dt = tau - b * omega, driven by a computed-torque + PD
 controller that turns trajectory targets into torque demands. Fault
 injectors attach to what the plant reads: the trajectory targets, the
 sensor taps (true angle and angular velocity) and the applied torque. The
-plant reads the possibly-faulted versions; the monitor reads the raw ones.
+plant reads the possibly-faulted versions; the monitor reads the raw taps.
 
 A constraint monitor checks every step against the straight-walking safety
 limits: exceeding a torque or speed rating is an Error, leaving the joint's
@@ -120,9 +120,9 @@ def monitor(joints: list[JointParams], thetas, omegas, tau_demands,
             t: float) -> list[ViolationRecord]:
     """Check one step against the safety limits.
 
-    ``tau_demands`` are the unsaturated torque demands: the applied torque is
-    clipped to the rating by construction, so the demand is the observable
-    that can exceed it.
+    ``tau_demands`` are the torques checked against the rating: the
+    unsaturated demand where it exceeds it, else the applied torque, which
+    only a fault on it can push past it.
     """
     records = []
     for p, theta, omega, tau in zip(joints, thetas, omegas, tau_demands):
@@ -242,20 +242,23 @@ class PlantBlock(Block):
 
 
 class MonitorBlock(Block):
-    """Safety monitor over the true joint states and torque demands.
+    """Safety monitor over the true joint states and torques.
 
-    Always reads the raw plant outputs: a fault on a sensor path changes
-    what the controller sees, not what physically happened, and the safety
-    verdict is about the physical state. A step on which every joint passes
-    ``monitor``'s own skip test is checked here without calling it; any
-    other step goes through ``monitor``, which makes every record.
+    Reads the raw angles, velocities and demands: a fault on a sensor path
+    changes what the controller sees, not what physically happened, and the
+    safety verdict is about the physical state. The applied torque is read
+    through ``reads``, as ``PlantBlock`` reads it. A step on which every
+    joint passes ``monitor``'s own skip test is checked here without calling
+    it; any other step goes through ``monitor``, which makes every record.
     """
 
-    def __init__(self, name: str, joints: list[JointParams]):
+    def __init__(self, name: str, joints: list[JointParams],
+                 reads: dict[str, str] | None = None):
         self.name = name
         self.joints = list(joints)
+        applied = (f"plant.{p.name}.torque" for p in joints)
         self.inputs = tuple(f"plant.{p.name}.{field}" for field in ("pos", "vel", "torque_cmd")
-                            for p in joints)
+                            for p in joints) + tuple((reads or {}).get(sig, sig) for sig in applied)
         self.emit_output_names = ("monitor.violations",)
         self.reset()
 
@@ -265,23 +268,26 @@ class MonitorBlock(Block):
     def bind(self, slots: dict[str, int]) -> None:
         n = len(self.joints)
         read = [slots[sig] for sig in self.inputs]
-        self._read = (read[:n], read[n:2 * n], read[2 * n:])  # pos, vel, demand
+        self._read = tuple(read[i * n:(i + 1) * n] for i in range(4))  # pos, vel, demand, applied
         self._checks = tuple(
-            (pos, vel, demand, p.max_torque, p.max_speed, p.rot_min, p.rot_max)
-            for p, pos, vel, demand in zip(self.joints, *self._read))
+            (pos, vel, demand, applied, p.max_torque, p.max_speed, p.rot_min, p.rot_max)
+            for p, pos, vel, demand, applied in zip(self.joints, *self._read))
         self._written = slots[self.emit_output_names[0]]
 
     def restart(self, k: int, golden) -> None:
         """``experiments.simulate`` adds the golden run's records."""
 
     def emit(self, t: float, values: list) -> None:
-        for pos, vel, demand, max_torque, max_speed, rot_min, rot_max in self._checks:
-            if not (abs(values[demand]) <= max_torque and abs(values[vel]) <= max_speed
-                    and rot_min <= values[pos] <= rot_max):
+        for pos, vel, demand, applied, max_torque, max_speed, rot_min, rot_max in self._checks:
+            if not (abs(values[demand]) <= max_torque and abs(values[applied]) <= max_torque
+                    and abs(values[vel]) <= max_speed and rot_min <= values[pos] <= rot_max):
                 break
         else:
             values[self._written] = 0.0
             return
-        records = monitor(self.joints, *([values[i] for i in read] for read in self._read), t)
+        thetas, omegas, demands, taus = ([values[i] for i in read] for read in self._read)
+        torques = [demand if abs(demand) > p.max_torque else tau
+                   for p, demand, tau in zip(self.joints, demands, taus)]
+        records = monitor(self.joints, thetas, omegas, torques, t)
         self.violations.extend(records)
         values[self._written] = float(len(records))

@@ -15,7 +15,7 @@ import pytest
 
 from faultbench import cli, dmp, engine, faults, plant
 from faultbench import experiments as ex
-from faultbench.scenario import data_path, load_demo_csv, load_scenario
+from faultbench.scenario import data_path, load_demo_csv, load_scenario, set_faults_enabled
 
 from conftest import drive_injector, make_scenario
 
@@ -209,7 +209,7 @@ def test_criterion_3_dmp_attractor_and_replay():
 
 def test_criterion_4_fault_free_baseline(case_study):
     with criterion(4, "fault-free baseline", budget_s=10.0):
-        out = ex.simulate(case_study, seed=0, faults_enabled=False)
+        out = ex.simulate(set_faults_enabled(case_study, False), seed=0)
         assert out.violations == ()
         assert out.classification is ex.Classification.NOMINAL
         assert len(out.trace) == 7000

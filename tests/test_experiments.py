@@ -13,11 +13,11 @@ from hypothesis import strategies as st
 
 from faultbench import engine, faults
 from faultbench import experiments as ex
-from faultbench.plant import (DEG, JOINT_NAMES, ViolationKind, ViolationRecord,
+from faultbench.plant import (DEG, JOINT_NAMES, MonitorBlock, ViolationKind, ViolationRecord,
                               default_joint_params)
 from faultbench.cli import GRAPH_ERRORS
 from faultbench.scenario import (ClockConfig, MonitorConfig, base_signal_names,
-                                 parse_scenario, with_injector_durations)
+                                 parse_scenario, set_faults_enabled, with_injector_durations)
 
 from conftest import make_scenario, stuck_spec
 from test_cli import fault_parts, short_scenarios
@@ -301,13 +301,15 @@ def test_sweep_rejects_repeated_non_finite_or_negative_durations(durations, monk
 
 
 def spy_simulate(monkeypatch):
-    """Record the monitored signals and the trace columns of every run."""
+    """Record whether some injector is enabled, the monitored signals and
+    the trace columns of every run."""
     runs = []
     simulate = ex.simulate
 
-    def spy(cfg, seed=None, faults_enabled=True, **kwargs):
-        out = simulate(cfg, seed=seed, faults_enabled=faults_enabled, **kwargs)
-        runs.append((faults_enabled, cfg.monitors.signals, out.trace.columns))
+    def spy(cfg, seed=None, reference=None):
+        out = simulate(cfg, seed=seed, reference=reference)
+        runs.append((any(spec.enabled for spec in cfg.injectors), cfg.monitors.signals,
+                     out.trace.columns))
         return out
     monkeypatch.setattr(ex, "simulate", spy)
     return runs
@@ -427,9 +429,19 @@ def test_chained_injectors_log_in_lockstep(case_study_cfg):
 
 
 def test_reference_run_is_fault_free(case_study_cfg):
-    out = ex.simulate(case_study_cfg, seed=0, faults_enabled=False)
+    out = ex.simulate(set_faults_enabled(case_study_cfg, False), seed=0)
     assert out.classification is ex.Classification.NOMINAL
     assert out.violations == ()
+
+
+def test_a_torque_fault_past_the_rating_is_a_torque_error(case_study_cfg):
+    push = _spec("push", "plant.right_knee.torque", faults.Bias(100.0),
+                 faults.FailureProbability(1.0), faults.ConstantTime(0.01))
+    cfg = replace(case_study_cfg, clock=ClockConfig(dt_s=1e-3, t_end_s=0.3), injectors=(push,))
+    first = ex.simulate(cfg, seed=0).violations[0]
+    # the demand is about 0.005 N*m, within the 54.9 N*m rating; the joint gets 100 more
+    assert (first.t, first.joint, first.kind) == (0.0, "right_knee", ViolationKind.TORQUE_ERROR)
+    assert first.value == pytest.approx(100.0046, abs=1e-4)
 
 
 def test_divergence_carries_cell_context_across_processes():
@@ -479,7 +491,7 @@ CUT_SEED = 2  # every enabled injector fires within 0.7 s
 
 @pytest.fixture(scope="module")
 def tight_hips_reference():
-    return ex.simulate(six_joints(0.7, TIGHT_HIPS), seed=CUT_SEED, faults_enabled=False)
+    return ex.simulate(six_joints(0.7, TIGHT_HIPS), seed=CUT_SEED)
 
 
 @pytest.mark.parametrize("subset", [
@@ -489,17 +501,24 @@ def test_a_run_cut_to_its_faulted_joints_matches_the_full_run(subset, tight_hips
     injectors = [s for s in CUT_INJECTORS if s.target_signal.split(".")[1] in subset]
     cfg = six_joints(0.7, TIGHT_HIPS, injectors)
     full = ex.simulate(cfg, seed=CUT_SEED)
-    cut = ex.simulate(cfg, seed=CUT_SEED, joints=subset)
+    cut = ex.simulate(cfg, seed=CUT_SEED, reference=tight_hips_reference)
     assert ex._faulted_joints(cfg) == subset
     cut_away = set(JOINT_NAMES) - set(subset)
     assert cut.trace.columns == tuple(c for c in full.trace.columns
                                       if c.split(".")[1] not in cut_away)
-    for column in cut.trace.columns:
-        if column != "monitor.violations":  # counts the cut joints' records only
-            assert np.array_equal(cut.trace.signal(column), full.trace.signal(column)), column
-    assert cut.activations == full.activations
-    assert ex._merged_violations(cut.violations, subset, tight_hips_reference.violations,
-                                 cfg.joint_names) == list(full.violations)
+    assert_matches_full_run(cut, full)
+
+
+def test_a_scenario_without_injectors_returns_its_reference(tight_hips_reference,
+                                                             monkeypatch):
+    monkeypatch.setattr(MonitorBlock, "emit", lambda *args: pytest.fail("a step ran"))
+    out = ex.simulate(six_joints(0.7, TIGHT_HIPS), seed=CUT_SEED, reference=tight_hips_reference)
+    assert out.trace.columns == ("monitor.violations",)
+    assert np.array_equal(out.trace.data[:, 0],
+                          tight_hips_reference.trace.signal("monitor.violations"))
+    assert (out.violations, out.classification, out.activations) == \
+        (tight_hips_reference.violations, tight_hips_reference.classification, {})
+    assert out.classification is ex.Classification.FAILURE
 
 
 def test_the_cut_runs_fire_every_fault_path_and_the_hips_interleave(tight_hips_reference):
@@ -515,10 +534,7 @@ def test_a_cell_is_classified_from_the_reference_on_the_joints_it_cuts():
     cfg = six_joints(0.3, {"left_hip": 8.3}, chained_pair())
     plan = ex.SweepPlan(scenario=cfg, durations=(0.05,), seeds_per_duration=1)
     faulty = with_injector_durations(cfg, plan.resolved_varied(), 0.05)
-    seed = ex.cell_seed(0, 0)
-    assert ex.simulate(faulty, seed=seed, joints=("right_knee",)).classification \
-        is ex.Classification.NOMINAL
-    full = ex.simulate(faulty, seed=seed)
+    full = ex.simulate(faulty, seed=ex.cell_seed(0, 0))
     assert full.classification is ex.Classification.FAILURE
     assert ex.run_sweep(plan).cells[0].classification is full.classification
 
@@ -541,28 +557,28 @@ def test_a_diverging_cut_cell_raises_what_the_full_run_raised():
 
 
 # --------------------------------------------------------------------------
-# a faulty run restarted from its golden run at its first activation
+# a faulty run against its reference starts at its first activation
 
 
 KNEE_POS, KNEE_VEL = "plant.right_knee.pos", "plant.right_knee.vel"
-# (scenario, seed, joints, first activation or None for one inside the run)
+# (scenario, seed, first activation or None for one inside the run)
 RESTARTED_RUNS = [
-    pytest.param(six_joints(0.7, TIGHT_HIPS, CUT_INJECTORS), seed, None, None,
+    pytest.param(six_joints(0.7, TIGHT_HIPS, CUT_INJECTORS), seed, None,
                  id=f"every-path-seed{seed}") for seed in range(3)
 ] + [
     pytest.param(six_joints(0.7, TIGHT_HIPS, [s for s in CUT_INJECTORS if s.name in
                                               ("noise", "up", "down")]),
-                 CUT_SEED, ("left_hip", "right_knee"), None, id="cut-to-two-joints"),
-    # the golden run's records on the hips, which are cut away, are not the run's
+                 CUT_SEED, None, id="cut-to-two-joints"),
+    # the reference's records on the hips, which are cut away, are not the run's
     pytest.param(six_joints(0.7, TIGHT_HIPS, [s for s in CUT_INJECTORS if s.name in
                                               ("up", "down")]),
-                 CUT_SEED, ("right_knee",), None, id="cut-to-right-knee"),
+                 CUT_SEED, None, id="cut-to-right-knee"),
     pytest.param(make_scenario(t_end=1.0, injectors=[_spec(
         "flip", KNEE_POS, faults.BitFlip(n_bits=1, bit_positions=(40,)),
-        faults.MeanTimeToFailure(0.3), faults.ConstantTime(0.05))]), 0, None, 300, id="mttf"),
+        faults.MeanTimeToFailure(0.3), faults.ConstantTime(0.05))]), 0, 300, id="mttf"),
     pytest.param(make_scenario(t_end=1.0, injectors=[_spec(
         "noise", KNEE_VEL, faults.Noise(20.0), faults.MeanTimeToFailure(0.3, 0.1),
-        faults.MeanTimeToRepair(0.05, 0.02))]), 3, None, None, id="mttf-sigma"),
+        faults.MeanTimeToRepair(0.05, 0.02))]), 3, None, id="mttf-sigma"),
     pytest.param(make_scenario(t_end=1.0, injectors=[
         _spec("up", "dmp.right_knee.pos", faults.StuckAt(), faults.FailureProbability(0.005),
               faults.ConstantTime(0.05), chain_to="down"),
@@ -570,38 +586,43 @@ RESTARTED_RUNS = [
               faults.ConstantTime(0.05)),
         _spec("torque", "plant.right_knee.torque", faults.Bias(5.0),
               faults.FailureProbability(0.002), faults.MeanTimeToRepair(0.02, 0.01))]),
-        1, None, None, id="chained-drawing"),
+        1, None, id="chained-drawing"),
     pytest.param(make_scenario(t_end=1.0, injectors=[_spec(
         "delay", KNEE_POS, faults.TimeDelay(0.1), faults.MeanTimeToFailure(0.02),
-        faults.ConstantTime(0.2))]), 0, None, 20, id="delay-longer-than-k"),
+        faults.ConstantTime(0.2))]), 0, 20, id="delay-longer-than-k"),
     pytest.param(make_scenario(t_end=1.0, injectors=[stuck_spec(p=1.0, duration=0.05)]),
-                 0, None, 0, id="k0"),
+                 0, 0, id="k0"),
     pytest.param(make_scenario(t_end=1.0, injectors=[_spec(
         "drop", KNEE_POS, faults.PackageDrop(0.0), faults.MeanTimeToFailure(1e-3),
-        faults.Once())]), 0, None, 1, id="k1"),
+        faults.Once())]), 0, 1, id="k1"),
     pytest.param(make_scenario(t_end=1.0, injectors=[
         _spec("noise", KNEE_POS, faults.Noise(5.0), faults.FailureProbability(0.0),
               faults.ConstantTime(0.05)),
-        stuck_spec(name="off", p=0.5, enabled=False)]), 0, None, 1000, id="never"),
+        stuck_spec(name="off", p=0.5, enabled=False)]), 0, 1000, id="never"),
 ]
 
 
-@pytest.mark.parametrize("cfg,seed,joints,first", RESTARTED_RUNS)
-def test_a_restarted_run_returns_what_the_full_run_returns(cfg, seed, joints, first):
-    golden = ex.simulate(replace(cfg, injectors=()), seed=seed)  # every signal, every joint
-    full = ex.simulate(cfg, seed=seed, joints=joints)
+def assert_matches_full_run(restarted, full):
+    """A run against its reference holds the full run's columns of the
+    joints it holds, equal but for ``monitor.violations``, which counts the
+    held joints' records only from the first window on, and the full run's
+    activations and violations."""
+    assert set(restarted.trace.columns) <= set(full.trace.columns)
+    assert np.array_equal(restarted.trace.t, full.trace.t)
+    for column in restarted.trace.columns:
+        if column != "monitor.violations":
+            assert np.array_equal(restarted.trace.signal(column), full.trace.signal(column),
+                                  equal_nan=True), column
+    assert (restarted.activations, restarted.violations) == (full.activations, full.violations)
+
+
+@pytest.mark.parametrize("cfg,seed,first", RESTARTED_RUNS)
+def test_a_restarted_run_returns_what_the_full_run_returns(cfg, seed, first):
+    reference = ex.simulate(replace(cfg, injectors=()), seed=seed)  # every signal, every joint
+    full = ex.simulate(cfg, seed=seed)
     k = first_window(full, cfg.clock.n_steps)
     assert k == first if first is not None else 1 < k < cfg.clock.n_steps
-    restarted = ex.simulate(cfg, seed=seed, joints=joints, golden=golden)
-    assert restarted.trace.columns == full.trace.columns
-    assert np.array_equal(restarted.trace.t, full.trace.t)
-    for column in full.trace.columns:
-        # before k a cut run's count is the golden run's, over every joint
-        if not (joints and column == "monitor.violations"):
-            assert np.array_equal(restarted.trace.signal(column), full.trace.signal(column)), \
-                column
-    assert restarted.activations == full.activations
-    assert restarted.violations == full.violations
+    assert_matches_full_run(ex.simulate(cfg, seed=seed, reference=reference), full)
 
 
 def first_window(out, n_steps=None):
@@ -618,29 +639,22 @@ def run_or_divergence(cfg, **kwargs):
 
 
 def assert_restarts_match_full_runs(raw):
-    """A valid scenario's run restarted from its golden run, on every joint
-    and cut to the faulted ones, returns what the full run returns."""
+    """A valid scenario's run against its reference returns what the full
+    run returns, or raises what it raises."""
     cfg, violations = parse_scenario(raw, Path("."))
     assume(not violations)
+    cfg = replace(cfg, monitors=MonitorConfig(signals=None))  # may monitor a cut joint
     try:
         engine.build_graph(cfg)
-        golden = ex.simulate(replace(cfg, injectors=(), monitors=MonitorConfig(signals=None)))
+        reference = ex.simulate(replace(cfg, injectors=()))
     except (*GRAPH_ERRORS, engine.NumericalDivergence):
         assume(False)
-    cut = replace(cfg, monitors=MonitorConfig(signals=None))  # may monitor a cut joint
-    for cfg, joints in ((cfg, None), (cut, ex._faulted_joints(cfg) or None)):
-        full = run_or_divergence(cfg, joints=joints)
-        restarted = run_or_divergence(cfg, joints=joints, golden=golden)
-        if isinstance(full, tuple):
-            assert restarted == full
-            continue
-        assert restarted.trace.columns == full.trace.columns
-        for column in full.trace.columns:
-            if not (joints and column == "monitor.violations"):
-                assert np.array_equal(restarted.trace.signal(column), full.trace.signal(column),
-                                      equal_nan=True), column
-        assert (restarted.activations, restarted.violations) == \
-            (full.activations, full.violations)
+    full = run_or_divergence(cfg)
+    restarted = run_or_divergence(cfg, reference=reference)
+    if isinstance(full, tuple):
+        assert restarted == full
+    else:
+        assert_matches_full_run(restarted, full)
 
 
 @settings(max_examples=100, derandomize=True, deadline=None)
@@ -714,7 +728,7 @@ def test_a_run_logs_every_window_its_injectors_draw(case_study_cfg, seed):
 def unskipped_cell(cfg, plan, duration, seed_index) -> ex.CellResult:
     """A sweep cell from a full reference and a full faulty run."""
     seed = ex.cell_seed(plan.base_seed, seed_index)
-    reference = ex.simulate(cfg, seed=seed, faults_enabled=False)
+    reference = ex.simulate(set_faults_enabled(cfg, False), seed=seed)
     out = ex.simulate(with_injector_durations(cfg, plan.resolved_varied(), duration), seed=seed)
     joint = plan.metric_joint()
     n_act, min_gap = ex._activation_windows(out.activations[plan.resolved_primary()],

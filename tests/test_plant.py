@@ -316,6 +316,12 @@ def monitor_cases(p):
     ]
 
 
+def clamped(p, tau):
+    """The applied torque without a fault on it: the demand saturated to the
+    rating as the plant saturates it, NaN included."""
+    return max(-p.max_torque, min(p.max_torque, tau))
+
+
 def test_monitor_block_records_what_monitor_returns():
     joints = joints6()
     block = plant.MonitorBlock("monitor", joints)
@@ -327,7 +333,8 @@ def test_monitor_block_records_what_monitor_returns():
         signals = {}
         for p, (theta, omega, tau) in zip(joints, step):
             signals.update({f"plant.{p.name}.pos": theta, f"plant.{p.name}.vel": omega,
-                            f"plant.{p.name}.torque_cmd": tau})
+                            f"plant.{p.name}.torque_cmd": tau,
+                            f"plant.{p.name}.torque": clamped(p, tau)})
         thetas, omegas, demands = (list(column) for column in zip(*step))
         records = plant.monitor(joints, thetas, omegas, demands, t)
         assert emit_named(block, t, signals) == {"monitor.violations": float(len(records))}
@@ -343,7 +350,7 @@ def test_one_joint_monitor_block():
     expected = []
     for k, (theta, omega, tau) in enumerate(monitor_cases(p)):
         signals = {"plant.right_knee.pos": theta, "plant.right_knee.vel": omega,
-                   "plant.right_knee.torque_cmd": tau}
+                   "plant.right_knee.torque_cmd": tau, "plant.right_knee.torque": clamped(p, tau)}
         records = plant.monitor([p], [theta], [omega], [tau], float(k))
         assert emit_named(block, float(k), signals) == {"monitor.violations": float(len(records))}
         expected.extend(records)
@@ -351,3 +358,19 @@ def test_one_joint_monitor_block():
     # at the limits and NaN inputs: nothing; past one limit: one record each
     assert [len(plant.monitor([p], [th], [om], [tau], 0.0)) for th, om, tau in monitor_cases(p)] \
         == [0, 0, 0, 0, 1, 1, 1, 1, 1, 1, 3, 0, 0, 0, 0]
+
+
+def test_monitor_block_checks_the_applied_torque_it_reads():
+    p = plant.default_joint_params("right_knee")
+    block = plant.MonitorBlock("monitor", [p], reads={"plant.right_knee.torque": "inj.t.out"})
+    assert "inj.t.out" in block.inputs and "plant.right_knee.torque" not in block.inputs
+    m = p.max_torque
+    # (demand, applied) -> the one torque record's value, or None
+    for demand, applied, recorded in [(0.0, 0.0, None), (0.5 * m, m, None),
+                                      (0.5 * m, 2.0 * m, 2.0 * m), (-0.5 * m, -2.0 * m, -2.0 * m),
+                                      (1.5 * m, 3.0 * m, 1.5 * m), (1.5 * m, 0.0, 1.5 * m)]:
+        block.reset()
+        emit_named(block, 0.0, {"plant.right_knee.pos": -0.5, "plant.right_knee.vel": 0.0,
+                                "plant.right_knee.torque_cmd": demand, "inj.t.out": applied})
+        assert [(r.kind, r.value) for r in block.violations] == \
+            ([] if recorded is None else [(plant.ViolationKind.TORQUE_ERROR, recorded)])

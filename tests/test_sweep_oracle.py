@@ -21,7 +21,7 @@ from faultbench import experiments as ex
 from faultbench.cli import GRAPH_ERRORS
 from faultbench.plant import JOINT_NAMES
 from faultbench.scenario import (MonitorConfig, base_signal_names, parse_scenario,
-                                 with_injector_durations)
+                                 set_faults_enabled, with_injector_durations)
 
 from test_cli import fault_parts, short_scenarios
 
@@ -42,8 +42,8 @@ def naive_cell(plan: ex.SweepPlan, duration: float, seed_index: int) -> ex.CellR
     primary = plan.resolved_primary()
     columns = tuple(f"plant.{joint}.{field}" for field in ("pos", "vel", "torque"))
     seed = ex.cell_seed(plan.base_seed, seed_index)
-    reference = ex.simulate(replace(cfg, monitors=MonitorConfig(signals=columns)),
-                            seed=seed, faults_enabled=False)
+    reference = ex.simulate(replace(set_faults_enabled(cfg, False),
+                                    monitors=MonitorConfig(signals=columns)), seed=seed)
     faulty_cfg = with_injector_durations(cfg, plan.resolved_varied(), duration)
     trigger = f"inj.{primary}.trigger"
     faulty = ex.simulate(replace(faulty_cfg, monitors=MonitorConfig(signals=columns + (trigger,))),
