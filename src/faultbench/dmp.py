@@ -51,19 +51,6 @@ class DmpParams:
     z0: float = 0.0  # start scaled velocity (tau * dy/dt at t=0)
 
 
-@dataclass(frozen=True)
-class DmpState:
-    y: float
-    z: float
-
-
-@dataclass(frozen=True)
-class CanonicalSystem:
-    s: float
-    alpha_s: float
-    tau: float
-
-
 WIDTH_FACTOR = 2.5  # kernel sharpness relative to neighbour spacing
 
 
@@ -95,53 +82,18 @@ def make_params(*, tau: float, g: float, y0: float = 0.0, z0: float = 0.0,
                      weights=np.asarray(weights, dtype=float), y0=y0, z0=z0)
 
 
-def forcing(params: DmpParams, s: float) -> float:
-    psi = np.exp(-params.widths * (s - params.centers) ** 2)
-    denom = float(psi.sum())
-    if denom < 1e-300:
-        return 0.0
-    return float(psi @ params.weights) / denom * s * (params.g - params.y0)
-
-
-def dmp_step(params: DmpParams, state: DmpState, s: float,
-             dt: float) -> tuple[DmpState, float, float, float]:
-    """Advance one joint by explicit Euler; returns (state', y, dy, ddy).
-
-    The returned targets are the values at the current step, before the
-    Euler update.
-    """
-    f = forcing(params, s)
-    zdot = (params.alpha_z * (params.beta_z * (params.g - state.y) - state.z) + f) / params.tau
-    ydot = state.z / params.tau
-    new_state = DmpState(y=state.y + ydot * dt, z=state.z + zdot * dt)
-    return new_state, state.y, ydot, zdot / params.tau
-
-
-def canonical_step(cs: CanonicalSystem, dt: float) -> float:
-    """Exact decay of the linear phase system over one step."""
-    return cs.s * math.exp(-cs.alpha_s * dt / cs.tau)
-
-
-def learn_weights(times: np.ndarray, positions: np.ndarray,
-                  params: DmpParams) -> DmpParams:
-    """Fit forcing weights to a demonstrated trajectory by locally weighted
-    least squares; returns params with weights, goal, and start state set.
-
-    The demonstration must be uniformly sampled with at least 3 samples.
-    Replaying the returned primitive from (y0, z0) at the demonstration's
-    time scale reproduces the demonstration.
-    """
-    positions = np.asarray(positions, dtype=float)
-    if np.shape(times) != positions.shape:
-        raise ValueError("demonstration needs >= 3 (t, y) samples")
-    return learn_system_weights(times, positions[:, None], params)[0]
-
-
 def learn_system_weights(times: np.ndarray, demo: np.ndarray,
                          params: DmpParams) -> list[DmpParams]:
-    """``learn_weights`` for each column of ``demo``. The columns share one
-    clock, so the basis activations are computed once; each joint keeps its
-    own products with them, so its weights equal fitting it alone."""
+    """Fit forcing weights to each column of a demonstrated trajectory by
+    locally weighted least squares; returns one params per column with its
+    weights, goal and start state set.
+
+    The demonstration must be uniformly sampled with at least 3 samples.
+    Rolling a returned primitive out from (y0, z0) at the demonstration's
+    time scale reproduces its column. The columns share one clock, so the
+    basis activations are computed once; each joint keeps its own products
+    with them, so its weights equal fitting it alone.
+    """
     times = np.asarray(times, dtype=float)
     demo = np.asarray(demo, dtype=float)
     if times.ndim != 1 or demo.ndim != 2 or len(demo) != len(times) or len(times) < 3:
@@ -212,21 +164,20 @@ def rollout(params: list[DmpParams], dt: float, n_steps: int) -> np.ndarray:
 
     Returns a read-only array of shape (n_steps, 3 * len(params)) holding
     pos, vel, acc per joint, row k being the targets at t = k * dt. Each
-    step evaluates ``dmp_step`` at the current state, then advances it by
-    Euler with dz = (ddy * tau) * dt. That product is not bit-equal to
-    ``dmp_step``'s own zdot * dt, and the pinned simulation outputs depend
-    on it.
+    step evaluates the transformation system at the current state, then
+    advances it by Euler with dz = (ddy * tau) * dt. That product is not
+    bit-equal to zdot * dt, and the pinned simulation outputs depend on it.
 
     The phase and the basis activations are shared by all joints, so they
     are computed in bulk, ``ROLLOUT_CHUNK`` steps at a time; the per-joint
-    arithmetic is ``forcing``'s and ``dmp_step``'s, in their order, so the
-    table is bit-equal to stepping them.
+    arithmetic keeps the order of one joint stepped alone, so the table is
+    bit-equal to stepping each joint (``tests/test_dmp.py`` holds that
+    step-by-step reference).
     """
     alpha_s, tau = _shared_phase(params)
-    # canonical_step from s = 1 is exp(-alpha_s * dt / tau) exactly, and
-    # the running product is canonical_step applied k times
-    phase = np.full(n_steps, canonical_step(CanonicalSystem(s=1.0, alpha_s=alpha_s,
-                                                            tau=tau), dt))
+    # the phase's exact decay over one step; row k's phase is its k-th power,
+    # taken as a running product
+    phase = np.full(n_steps, math.exp(-alpha_s * dt / tau))
     phase[:1] = 1.0
     np.multiply.accumulate(phase, out=phase)
     neg_widths = -params[0].widths
@@ -243,7 +194,8 @@ def rollout(params: list[DmpParams], dt: float, n_steps: int) -> np.ndarray:
         for row, s, denom in zip(psi, s_chunk.tolist(), psi.sum(axis=1).tolist()):
             out = []
             for j, (alpha_z, beta_z, g, amplitude, weights) in enumerate(joints):
-                # forcing's psi @ weights, without the operator dispatch
+                # forcing: psi @ weights / sum(psi) * s * (g - y0), with
+                # dot() rather than the @ operator's dispatch
                 f = 0.0 if denom < 1e-300 else float(row.dot(weights)) / denom * s * amplitude
                 y, z = ys[j], zs[j]
                 zdot = (alpha_z * (beta_z * (g - y) - z) + f) / tau
@@ -256,11 +208,6 @@ def rollout(params: list[DmpParams], dt: float, n_steps: int) -> np.ndarray:
         table[start:start + len(rows)] = rows
     table.flags.writeable = False
     return table
-
-
-def replay(params: DmpParams, times: np.ndarray) -> np.ndarray:
-    """Integrate the primitive at the given uniform time grid; returns y(t)."""
-    return rollout([params], float(times[1] - times[0]), len(times))[:, 0].copy()
 
 
 class TargetTable:

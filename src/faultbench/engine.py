@@ -80,11 +80,11 @@ class NumericalDivergence(Exception):
 TRACE_CSV_CHUNK = 256
 
 
-def _opened(path_or_file, mode: str):
-    """A context that opens a path in ``mode`` and closes it on exit, or
+def _opened(path_or_file):
+    """A context that opens a path for writing and closes it on exit, or
     yields an open file object as it is and leaves it open."""
     if isinstance(path_or_file, (str, bytes)) or hasattr(path_or_file, "__fspath__"):
-        return open(path_or_file, mode, newline="")
+        return open(path_or_file, "w", newline="")
     return contextlib.nullcontext(path_or_file)
 
 
@@ -105,7 +105,7 @@ class TraceLog:
     def to_csv(self, path_or_file) -> None:
         """Write a ``t`` column and one column per signal, every value as
         ``%.9g``, ``TRACE_CSV_CHUNK`` rows per write."""
-        with _opened(path_or_file, "w") as fh:
+        with _opened(path_or_file) as fh:
             fh.write(",".join(("t",) + self.columns) + "\n")
             row_format = ",".join(["%.9g"] * (1 + len(self.columns))) + "\n"
             for start in range(0, len(self.t), TRACE_CSV_CHUNK):
@@ -117,22 +117,6 @@ class TraceLog:
         buf = io.StringIO()
         self.to_csv(buf)
         return buf.getvalue()
-
-    @classmethod
-    def from_csv(cls, path_or_file) -> "TraceLog":
-        with _opened(path_or_file, "r") as fh:
-            header = fh.readline().strip()
-            names = header.split(",")
-            if not names or names[0] != "t":
-                raise ValueError("trace CSV must start with a 't' column")
-            rows = [line.strip().split(",") for line in fh if line.strip()]
-        if rows:
-            arr = np.array([[float(v) for v in row] for row in rows])
-            t, data = arr[:, 0], arr[:, 1:]
-        else:
-            t = np.empty(0)
-            data = np.empty((0, len(names) - 1))
-        return cls(columns=tuple(names[1:]), t=t, data=data)
 
 
 class BlockGraph:

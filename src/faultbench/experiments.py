@@ -182,13 +182,10 @@ class SweepPlan:
         return self.resolved_varied()[0]
 
     def metric_joint(self) -> str:
+        """The joint the primary injector targets."""
         primary = self.resolved_primary()
-        for s in self.scenario.injectors:
-            if s.name == primary:
-                parts = s.target_signal.split(".")
-                if len(parts) == 3:
-                    return parts[1]
-        return self.scenario.joint_names[0]
+        return next(_signal_joint(s.target_signal) for s in self.scenario.injectors
+                    if s.name == primary)
 
 
 @dataclass(frozen=True)
@@ -238,9 +235,14 @@ def _joint_columns(trace: engine.TraceLog, joint: str) -> tuple[np.ndarray, ...]
     return tuple(trace.signal(name) for name in _joint_signals(joint))
 
 
+def _signal_joint(signal: str) -> str:
+    """The joint of an injectable signal, ``<layer>.<joint>.<field>``."""
+    return signal.split(".")[1]
+
+
 def _faulted_joints(cfg: ScenarioConfig) -> tuple[str, ...]:
     """The joints some injector targets, in declaration order."""
-    targeted = {spec.target_signal.split(".")[1] for spec in cfg.injectors}
+    targeted = {_signal_joint(spec.target_signal) for spec in cfg.injectors}
     return tuple(j for j in cfg.joint_names if j in targeted)
 
 
@@ -280,17 +282,15 @@ def _run_cell(cfg: ScenarioConfig, varied: tuple[str, ...], primary: str,
 
 
 def check_durations(durations) -> None:
-    """Raise ValueError unless every duration is finite, non-negative and
-    listed once."""
+    """Raise ValueError unless there is a duration, and every duration is
+    finite, non-negative and listed once."""
+    if not durations:
+        raise ValueError("need at least one fault duration")
     for d in durations:
         if not math.isfinite(d) or d < 0.0:
             raise ValueError(f"fault durations must be finite and non-negative, got {d!r}")
     if len(set(durations)) != len(durations):
         raise ValueError("durations must be distinct")
-
-
-def _run_cell_args(args) -> CellResult:
-    return _run_cell(*args)
 
 
 def run_sweep(plan: SweepPlan, jobs: int = 1) -> SweepResult:
@@ -312,11 +312,11 @@ def run_sweep(plan: SweepPlan, jobs: int = 1) -> SweepResult:
     tasks = [(cfg, varied, primary, joint, d, si, plan.base_seed)
              for d in plan.durations for si in range(plan.seeds_per_duration)]
     if jobs <= 1:
-        cells = [_run_cell_args(t) for t in tasks]
+        cells = [_run_cell(*task) for task in tasks]
     else:
         # the pool starts all its workers up front, so no more than cells
         with ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
-            cells = list(pool.map(_run_cell_args, tasks, chunksize=1))
+            cells = list(pool.map(_run_cell, *zip(*tasks), chunksize=1))
     return SweepResult(cells=tuple(cells), summary=summarize(plan, cells))
 
 
@@ -392,25 +392,6 @@ def write_results_csv(result: SweepResult, path) -> None:
         fh.write(RESULTS_HEADER + "\n")
         for c in result.cells:
             fh.write(c.row() + "\n")
-
-
-def read_results_csv(path) -> list[dict]:
-    rows = []
-    with open(path, newline="") as fh:
-        header = fh.readline().strip()
-        if header != RESULTS_HEADER:
-            raise ValueError(f"unexpected results header: {header!r}")
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            d, seed, rp, rv, rt, cls = line.split(",")
-            rows.append({
-                "duration_s": float(d), "seed": int(seed), "rmse_pos_rad": float(rp),
-                "rmse_vel_rad_s": float(rv), "rmse_torque_Nm": float(rt),
-                "classification": Classification(cls),
-            })
-    return rows
 
 
 def write_summary_json(result: SweepResult, path) -> None:

@@ -1,10 +1,13 @@
 import copy
 import json
 import math
+import os
 
+import numpy as np
 import pytest
 
 from faultbench import faults
+from faultbench.engine import TraceLog
 from faultbench.scenario import (ClockConfig, ControlConfig, DmpConfig,
                                  MonitorConfig, ScenarioConfig, data_path,
                                  load_scenario)
@@ -71,6 +74,20 @@ def drive_injector(inj, inputs, rng, triggers=None):
         outs.append(values[slots[inj.out_signal]])
         trigs.append(values[slots[inj.trigger_signal]] == 1.0)
     return outs, trigs
+
+
+def read_trace_csv(path_or_file) -> TraceLog:
+    """The ``TraceLog`` that ``TraceLog.to_csv`` wrote to a path or an open
+    text file, its values as the ``%.9g`` text gives them."""
+    if isinstance(path_or_file, (str, os.PathLike)):
+        with open(path_or_file, newline="") as fh:
+            return read_trace_csv(fh)
+    names = path_or_file.readline().strip().split(",")
+    if names[0] != "t":
+        raise ValueError("trace CSV must start with a 't' column")
+    rows = [[float(v) for v in line.split(",")] for line in path_or_file if line.strip()]
+    arr = np.array(rows).reshape(len(rows), len(names))
+    return TraceLog(columns=tuple(names[1:]), t=arr[:, 0], data=arr[:, 1:])
 
 
 @pytest.fixture(scope="session")

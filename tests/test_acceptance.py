@@ -178,15 +178,8 @@ def test_criterion_3_dmp_attractor_and_replay():
             for g in np.linspace(-1.0, 1.0, 5):
                 for tau in (0.5, 1.0, 2.0):
                     p = dmp.make_params(tau=tau, g=float(g), y0=float(y0))
-                    state = dmp.DmpState(y=float(y0), z=0.0)
-                    s = 1.0
                     steps = round(4 * 10 * tau / p.alpha_z / dt)
-                    ys = np.empty(steps)
-                    for k in range(steps):
-                        state, y, _, _ = dmp.dmp_step(p, state, s, dt)
-                        ys[k] = y
-                        s = dmp.canonical_step(
-                            dmp.CanonicalSystem(s=s, alpha_s=p.alpha_s, tau=tau), dt)
+                    ys = dmp.rollout([p], dt, steps)[:, 0]
                     assert abs(ys[-1] - g) < 1e-3
                     dev = ys - g
                     crossings = np.sum((dev[1:] * dev[:-1] < 0)
@@ -194,10 +187,10 @@ def test_criterion_3_dmp_attractor_and_replay():
                     assert crossings <= 1
 
         times, demo = load_demo_csv(data_path("demo_gait.csv"))
+        fitted = dmp.learn_system_weights(times, demo, dmp.make_params(tau=1.0, g=0.0))
+        table = dmp.rollout(fitted, float(times[1] - times[0]), len(times))
         for j in range(demo.shape[1]):
-            fitted = dmp.learn_weights(times, demo[:, j],
-                                       dmp.make_params(tau=1.0, g=0.0))
-            rep = dmp.replay(fitted, times)
+            rep = table[:, 3 * j]
             err = float(np.sqrt(np.mean((rep - demo[:, j]) ** 2)))
             amplitude = float(demo[:, j].max() - demo[:, j].min())
             assert err < 0.01 * amplitude, f"joint {j}: {err:.4f} vs {amplitude:.3f}"

@@ -16,10 +16,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from faultbench import cli, experiments, plant
-from faultbench.engine import TraceLog
 from faultbench.scenario import base_signal_names, data_path
 
-from conftest import BAD_NUMBER_CASES, write_bad_number_case
+from conftest import BAD_NUMBER_CASES, read_trace_csv, write_bad_number_case
 
 
 CASE_STUDY = str(data_path("case_study.json"))
@@ -199,7 +198,7 @@ def test_run_disable_faults_nominal(tmp_path, capsys):
                    "--out", str(tmp_path), "--quiet")
     assert code == 0
     assert capsys.readouterr().out.strip() == "Nominal"
-    trace = TraceLog.from_csv(tmp_path / "trace.csv")
+    trace = read_trace_csv(tmp_path / "trace.csv")
     assert len(trace) == 7000
     violations = (tmp_path / "violations.csv").read_text().strip().split("\n")
     assert violations == ["t,joint,kind,value"]
@@ -237,7 +236,7 @@ def test_run_zero_duration_scenario(tmp_path, capsys):
     p.write_text(json.dumps(raw))
     code = run_cli("run", str(p), "--out", str(tmp_path / "out"), "--quiet")
     assert code == 0
-    trace = TraceLog.from_csv(tmp_path / "out" / "trace.csv")
+    trace = read_trace_csv(tmp_path / "out" / "trace.csv")
     assert len(trace) == 0
 
 
@@ -249,7 +248,7 @@ def test_run_without_monitored_signals_writes_the_time_column(tmp_path, capsys):
     p.write_text(json.dumps(raw))
     assert run_cli("run", str(p), "--out", str(tmp_path / "out"), "--quiet") == 0
     assert (tmp_path / "out" / "trace.csv").read_text() == "t\n0\n0.001\n0.002\n"
-    trace = TraceLog.from_csv(tmp_path / "out" / "trace.csv")
+    trace = read_trace_csv(tmp_path / "out" / "trace.csv")
     assert trace.columns == ()
     assert trace.data.shape == (3, 0)
 

@@ -1,6 +1,13 @@
-"""Attractor behaviour, canonical phase, and learn/replay fidelity."""
+"""Attractor behaviour, canonical phase, and learn/replay fidelity.
+
+The package only rolls primitives out as a table (``dmp.rollout``). The
+reference below steps one joint's transformation system and the canonical
+phase one Euler step at a time; the attractor and phase tests run on it,
+and the rollout must equal it bit for bit.
+"""
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -11,23 +18,76 @@ from faultbench.scenario import data_path, load_demo_csv
 from conftest import bind_alone
 
 
+# --------------------------------------------------------------------------
+# step-by-step reference
+
+
+@dataclass(frozen=True)
+class DmpState:
+    y: float
+    z: float
+
+
+@dataclass(frozen=True)
+class CanonicalSystem:
+    s: float
+    alpha_s: float
+    tau: float
+
+
+def forcing(params, s):
+    psi = np.exp(-params.widths * (s - params.centers) ** 2)
+    denom = float(psi.sum())
+    if denom < 1e-300:
+        return 0.0
+    return float(psi @ params.weights) / denom * s * (params.g - params.y0)
+
+
+def dmp_step(params, state, s, dt):
+    """Advance one joint by explicit Euler; returns (state', y, dy, ddy).
+
+    The returned targets are the values at the current step, before the
+    Euler update.
+    """
+    f = forcing(params, s)
+    zdot = (params.alpha_z * (params.beta_z * (params.g - state.y) - state.z) + f) / params.tau
+    ydot = state.z / params.tau
+    new_state = DmpState(y=state.y + ydot * dt, z=state.z + zdot * dt)
+    return new_state, state.y, ydot, zdot / params.tau
+
+
+def canonical_step(cs, dt):
+    """Exact decay of the linear phase system over one step."""
+    return cs.s * math.exp(-cs.alpha_s * dt / cs.tau)
+
+
+def learn_weights(times, positions, params):
+    """The system fit of a single joint's demonstration."""
+    return dmp.learn_system_weights(times, np.asarray(positions, dtype=float)[:, None],
+                                    params)[0]
+
+
+def replay(params, times):
+    """Integrate the primitive at the given uniform time grid; returns y(t)."""
+    return dmp.rollout([params], float(times[1] - times[0]), len(times))[:, 0].copy()
+
+
 def integrate(params, T, dt=1e-3, y0=None, z0=None):
-    state = dmp.DmpState(y=params.y0 if y0 is None else y0,
-                         z=params.z0 if z0 is None else z0)
+    state = DmpState(y=params.y0 if y0 is None else y0,
+                     z=params.z0 if z0 is None else z0)
     s = 1.0
     ys = []
     for _ in range(round(T / dt)):
-        state, y, _, _ = dmp.dmp_step(params, state, s, dt)
+        state, y, _, _ = dmp_step(params, state, s, dt)
         ys.append(y)
-        s = dmp.canonical_step(dmp.CanonicalSystem(s=s, alpha_s=params.alpha_s,
-                                                   tau=params.tau), dt)
+        s = canonical_step(CanonicalSystem(s=s, alpha_s=params.alpha_s, tau=params.tau), dt)
     return np.array(ys)
 
 
 def test_fixed_point():
     p = dmp.make_params(tau=1.0, g=0.7, y0=0.7)
-    state = dmp.DmpState(y=0.7, z=0.0)
-    new, y, yd, ydd = dmp.dmp_step(p, state, 0.5, 1e-3)
+    state = DmpState(y=0.7, z=0.0)
+    new, y, yd, ydd = dmp_step(p, state, 0.5, 1e-3)
     assert (new.y, new.z) == (0.7, 0.0)
     assert (y, yd, ydd) == (0.7, 0.0, 0.0)
 
@@ -59,9 +119,9 @@ def test_tau_scaling_slows_trajectory():
 
 
 def test_canonical_step_closed_form():
-    cs = dmp.CanonicalSystem(s=1.0, alpha_s=2.0, tau=1.0)
-    assert dmp.canonical_step(cs, 0.0) == 1.0
-    assert math.isclose(dmp.canonical_step(cs, 0.5), math.exp(-1.0), rel_tol=1e-12)
+    cs = CanonicalSystem(s=1.0, alpha_s=2.0, tau=1.0)
+    assert canonical_step(cs, 0.0) == 1.0
+    assert math.isclose(canonical_step(cs, 0.5), math.exp(-1.0), rel_tol=1e-12)
 
 
 def test_canonical_reaches_one_percent_at_log_time():
@@ -70,14 +130,14 @@ def test_canonical_reaches_one_percent_at_log_time():
     s = 1.0
     steps = round(t_target / dt)
     for _ in range(steps):
-        s = dmp.canonical_step(dmp.CanonicalSystem(s=s, alpha_s=alpha_s, tau=tau), dt)
+        s = canonical_step(CanonicalSystem(s=s, alpha_s=alpha_s, tau=tau), dt)
     assert math.isclose(s, 0.01, rel_tol=1e-3)
 
 
 def test_phase_strictly_decreasing_and_positive():
     s = 1.0
     for _ in range(10000):
-        s_next = dmp.canonical_step(dmp.CanonicalSystem(s=s, alpha_s=4.6, tau=1.0), 1e-3)
+        s_next = canonical_step(CanonicalSystem(s=s, alpha_s=4.6, tau=1.0), 1e-3)
         assert 0.0 < s_next < s
         s = s_next
 
@@ -90,17 +150,17 @@ def test_learn_replay_min_jerk():
     t = np.arange(2001) * 1e-3
     u = t / 2.0
     demo = 10 * u**3 - 15 * u**4 + 6 * u**5  # 0 -> 1 rad over 2 s
-    p = dmp.learn_weights(t, demo, dmp.make_params(tau=1.0, g=0.0))
+    p = learn_weights(t, demo, dmp.make_params(tau=1.0, g=0.0))
     assert p.tau == 2.0 and p.g == 1.0
-    rep = dmp.replay(p, t)
+    rep = replay(p, t)
     assert float(np.sqrt(np.mean((rep - demo) ** 2))) < 0.01
 
 
 def test_learn_replay_sin_ramp():
     t = np.arange(7001) * 1e-3
     demo = 0.5 * t / 7.0 + 0.3 * np.sin(2 * np.pi * t / 3.5) * np.sin(np.pi * t / 7.0) ** 2
-    p = dmp.learn_weights(t, demo, dmp.make_params(tau=1.0, g=0.0))
-    rep = dmp.replay(p, t)
+    p = learn_weights(t, demo, dmp.make_params(tau=1.0, g=0.0))
+    rep = replay(p, t)
     assert float(np.sqrt(np.mean((rep - demo) ** 2))) < 0.02
 
 
@@ -108,22 +168,22 @@ def test_learn_constant_demo_warns_and_zeroes():
     t = np.arange(101) * 1e-2
     demo = np.full(101, 0.4)
     with pytest.warns(dmp.DegenerateDemo):
-        p = dmp.learn_weights(t, demo, dmp.make_params(tau=1.0, g=0.0))
+        p = learn_weights(t, demo, dmp.make_params(tau=1.0, g=0.0))
     assert np.all(p.weights == 0.0)
-    rep = dmp.replay(p, t)
+    rep = replay(p, t)
     assert np.allclose(rep, 0.4, atol=1e-9)
 
 
 def test_learn_rejects_bad_demos():
     p = dmp.make_params(tau=1.0, g=0.0)
     with pytest.raises(ValueError):
-        dmp.learn_weights(np.array([0.0, 1.0]), np.array([0.0, 1.0]), p)
+        learn_weights(np.array([0.0, 1.0]), np.array([0.0, 1.0]), p)
     with pytest.raises(ValueError):
-        dmp.learn_weights(np.array([0.0, 0.1, 0.5]), np.array([0.0, 1.0, 2.0]), p)
+        learn_weights(np.array([0.0, 0.1, 0.5]), np.array([0.0, 1.0, 2.0]), p)
     # a stiffness so large that the forcing target overflows
     t = np.linspace(0.0, 1.0, 101)
     with pytest.raises(ValueError, match="non-finite forcing weights"):
-        dmp.learn_weights(t, t**2, dmp.make_params(tau=1.0, g=0.0, alpha_z=1e308))
+        learn_weights(t, t**2, dmp.make_params(tau=1.0, g=0.0, alpha_z=1e308))
 
 
 def fit_alone(times, positions, params):
@@ -154,14 +214,14 @@ def test_a_system_fit_equals_fitting_each_joint_alone(demo):
         tau, g, y0, z0, weights = fit_alone(times, ys[:, j], base)
         assert (p.tau, p.g, p.y0, p.z0) == (tau, g, y0, z0)
         assert np.array_equal(p.weights, weights)
-        assert np.array_equal(dmp.learn_weights(times, ys[:, j], base).weights, weights)
+        assert np.array_equal(learn_weights(times, ys[:, j], base).weights, weights)
 
 
 def test_shipped_demo_replay_within_one_percent():
     times, ys = load_demo_csv(data_path("demo_gait.csv"))
     for j in range(ys.shape[1]):
-        p = dmp.learn_weights(times, ys[:, j], dmp.make_params(tau=1.0, g=0.0))
-        rep = dmp.replay(p, times)
+        p = learn_weights(times, ys[:, j], dmp.make_params(tau=1.0, g=0.0))
+        rep = replay(p, times)
         err = float(np.sqrt(np.mean((rep - ys[:, j]) ** 2)))
         amplitude = float(ys[:, j].max() - ys[:, j].min())
         assert err < 0.01 * amplitude
@@ -179,7 +239,7 @@ def test_critical_damping_enforced_by_construction():
 def test_joints_share_phase():
     t = np.arange(1001) * 1e-3
     demo = 0.3 * (1 - np.cos(2 * np.pi * t))
-    p = dmp.learn_weights(t, demo, dmp.make_params(tau=1.0, g=0.0))
+    p = learn_weights(t, demo, dmp.make_params(tau=1.0, g=0.0))
     block = dmp.DmpSystemBlock("dmp", ["left_knee", "right_knee"],
                                dmp.TargetTable([p, p], 1e-3, 500))
     block.reset()
@@ -195,14 +255,14 @@ def test_velocity_is_scaled_state_identity():
     t = np.arange(2001) * 1e-3
     u = t / 2.0
     demo = 10 * u**3 - 15 * u**4 + 6 * u**5
-    p = dmp.learn_weights(t, demo, dmp.make_params(tau=1.0, g=0.0))
-    state = dmp.DmpState(y=p.y0, z=p.z0)
+    p = learn_weights(t, demo, dmp.make_params(tau=1.0, g=0.0))
+    state = DmpState(y=p.y0, z=p.z0)
     s = 1.0
     for _ in range(200):
-        new_state, y, yd, ydd = dmp.dmp_step(p, state, s, 1e-3)
+        new_state, y, yd, ydd = dmp_step(p, state, s, 1e-3)
         assert yd == state.z / p.tau
         state = new_state
-        s = dmp.canonical_step(dmp.CanonicalSystem(s=s, alpha_s=p.alpha_s, tau=p.tau), 1e-3)
+        s = canonical_step(CanonicalSystem(s=s, alpha_s=p.alpha_s, tau=p.tau), 1e-3)
 
 
 def test_joints_must_share_phase():
@@ -227,26 +287,26 @@ def test_joints_must_share_basis():
 def stepped_block_targets(params, dt, n_steps):
     """Step-by-step copy of the arithmetic the system block used before its
     targets became a table: state outputs, then the Euler advance."""
-    states = [dmp.DmpState(y=p.y0, z=p.z0) for p in params]
+    states = [DmpState(y=p.y0, z=p.z0) for p in params]
     s = 1.0
     out = np.empty((n_steps, 3 * len(params)))
     for k in range(n_steps):
         derivs = []
         for j, (p, st) in enumerate(zip(params, states)):
-            _, y, yd, ydd = dmp.dmp_step(p, st, s, 0.0)
+            _, y, yd, ydd = dmp_step(p, st, s, 0.0)
             derivs.append((yd, ydd * p.tau))
             out[k, 3 * j:3 * j + 3] = (y, yd, ydd)
-        states = [dmp.DmpState(y=st.y + yd * dt, z=st.z + zd * dt)
+        states = [DmpState(y=st.y + yd * dt, z=st.z + zd * dt)
                   for st, (yd, zd) in zip(states, derivs)]
         p = params[0]
-        s = dmp.canonical_step(dmp.CanonicalSystem(s=s, alpha_s=p.alpha_s, tau=p.tau), dt)
+        s = canonical_step(CanonicalSystem(s=s, alpha_s=p.alpha_s, tau=p.tau), dt)
     return out
 
 
 def test_rollout_matches_stepped_block_on_shipped_gait(case_study_cfg):
     times, ys = load_demo_csv(data_path("demo_gait.csv"))
     c = case_study_cfg.dmp
-    params = [dmp.learn_weights(times, ys[:, j],
+    params = [learn_weights(times, ys[:, j],
                                 dmp.make_params(tau=1.0, g=0.0, alpha_z=c.alpha_z,
                                                 alpha_s=c.alpha_s, n_basis=c.n_basis))
               for j in range(ys.shape[1])]
@@ -262,7 +322,7 @@ def test_rollout_matches_stepped_block_on_shipped_gait(case_study_cfg):
 def test_rollout_matches_stepped_block_across_chunks(n_steps):
     t = np.arange(1001) * 1e-3
     demos = [0.3 * (1 - np.cos(2 * np.pi * t)), -0.5 * t**2, np.sin(3 * t)]
-    params = [dmp.learn_weights(t, demo, dmp.make_params(tau=1.0, g=0.0))
+    params = [learn_weights(t, demo, dmp.make_params(tau=1.0, g=0.0))
               for demo in demos]
     table = dmp.rollout(params, 1e-3, n_steps)
     assert table.shape == (n_steps, 9)

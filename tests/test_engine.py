@@ -10,7 +10,7 @@ from faultbench import dmp, engine, faults, plant
 from faultbench.blocks import Block, slot_range
 from faultbench.scenario import ClockConfig
 
-from conftest import make_scenario, stuck_spec
+from conftest import make_scenario, read_trace_csv, stuck_spec
 
 
 def run_cfg(cfg, seed=0):
@@ -429,7 +429,7 @@ def test_trace_csv_round_trip(minimal_cfg):
     cfg = replace(minimal_cfg, clock=ClockConfig(dt_s=1e-3, t_end_s=0.05))
     _, trace = run_cfg(cfg)
     buf = io.StringIO(trace.to_csv_str())
-    back = engine.TraceLog.from_csv(buf)
+    back = read_trace_csv(buf)
     assert back.columns == trace.columns
     # %.9g formatting bounds the round-trip error
     assert np.allclose(back.data, trace.data, rtol=1e-8, atol=1e-12)
@@ -475,7 +475,7 @@ def test_zero_column_trace_round_trip():
     trace = engine.TraceLog(columns=(), t=np.arange(3) * 0.5, data=np.empty((3, 0)))
     text = trace.to_csv_str()
     assert text == "t\n0\n0.5\n1\n"
-    back = engine.TraceLog.from_csv(io.StringIO(text))
+    back = read_trace_csv(io.StringIO(text))
     assert back.columns == ()
     assert np.array_equal(back.t, trace.t)
     assert back.data.shape == (3, 0)
@@ -493,7 +493,7 @@ def test_monitored_columns_match_the_full_trace(monitored):
 
 def test_empty_trace_round_trip():
     trace = engine.TraceLog(columns=("a", "b"), t=np.empty(0), data=np.empty((0, 2)))
-    back = engine.TraceLog.from_csv(io.StringIO(trace.to_csv_str()))
+    back = read_trace_csv(io.StringIO(trace.to_csv_str()))
     assert back.columns == ("a", "b")
     assert len(back) == 0
 

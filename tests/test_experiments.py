@@ -185,8 +185,8 @@ def test_sweep_starts_no_more_workers_than_cells(monkeypatch):
         def __exit__(self, *exc):
             return False
 
-        def map(self, fn, tasks, chunksize=1):
-            return map(fn, tasks)
+        def map(self, fn, *iterables, chunksize=1):
+            return map(fn, *iterables)
 
     monkeypatch.setattr(ex, "ProcessPoolExecutor", SerialPool)
     ex.run_sweep(small_plan([0.05], seeds=2, t_end=0.1), jobs=4)
@@ -201,12 +201,32 @@ def test_sweep_cell_seed_paired_across_durations():
     assert ex.cell_seed(0, 0) != ex.cell_seed(1, 0)
 
 
+def read_results_csv(path) -> list[dict]:
+    """The rows of a ``sweep_results.csv``, one dict per cell."""
+    rows = []
+    with open(path, newline="") as fh:
+        header = fh.readline().strip()
+        if header != ex.RESULTS_HEADER:
+            raise ValueError(f"unexpected results header: {header!r}")
+        for line in fh:
+            line = line.strip()
+            if not line:
+                continue
+            d, seed, rp, rv, rt, cls = line.split(",")
+            rows.append({
+                "duration_s": float(d), "seed": int(seed), "rmse_pos_rad": float(rp),
+                "rmse_vel_rad_s": float(rv), "rmse_torque_Nm": float(rt),
+                "classification": ex.Classification(cls),
+            })
+    return rows
+
+
 def test_sweep_results_csv_round_trip(tmp_path):
     plan = small_plan([0.05, 0.15, 0.3], seeds=2, t_end=1.0)
     res = ex.run_sweep(plan)
     path = tmp_path / "sweep_results.csv"
     ex.write_results_csv(res, path)
-    rows = ex.read_results_csv(path)
+    rows = read_results_csv(path)
     assert len(rows) == len(res.cells) == 6
     for row, cell in zip(rows, res.cells):
         assert row["duration_s"] == cell.duration_s
@@ -292,12 +312,13 @@ def test_sweep_requires_increasing_distinct_durations():
         ex.run_sweep(small_plan([0.1, 0.1]))
 
 
+@pytest.mark.parametrize("jobs", [1, 2])
 @pytest.mark.parametrize("durations", [(math.nan, 0.1), (0.1, math.nan),
-                                       (0.1, math.inf), (-math.inf, 0.1), (-0.1, 0.2)])
-def test_sweep_rejects_repeated_non_finite_or_negative_durations(durations, monkeypatch):
+                                       (0.1, math.inf), (-math.inf, 0.1), (-0.1, 0.2), ()])
+def test_sweep_rejects_repeated_non_finite_or_negative_durations(durations, jobs, monkeypatch):
     monkeypatch.setattr(ex, "simulate", None)  # no cell may run
-    with pytest.raises(ValueError, match="distinct|finite and non-negative"):
-        ex.run_sweep(small_plan(durations))
+    with pytest.raises(ValueError, match="distinct|finite and non-negative|at least one"):
+        ex.run_sweep(small_plan(durations), jobs=jobs)
 
 
 def spy_simulate(monkeypatch):
