@@ -10,18 +10,21 @@ A block exposes two kinds of output signals:
 
 A run keeps every signal's value in one list, ``values``, at the signal's
 slot. A block knows only its signal names: at the start of each run the
-engine calls ``bind`` with the graph's slot of every signal. A block's
-outputs get consecutive slots in ``output_names`` order (``slot_range``).
+engine calls ``bind`` with the graph's slot of every signal and the run's
+clock. A block's outputs get consecutive slots in ``output_names`` order
+(``slot_range``).
 
-Once per step the engine calls ``state_outputs(t, values)`` on every block
-that declares state outputs, then ``emit(t, values)`` in topological order
-over feedthrough dependencies, then ``advance(t, values, dt)`` on every
-block whose class overrides ``Block.advance``; the first two write all their
-outputs into ``values``. A block with neither (the monitor, an injector)
-costs the step loop one ``emit`` call. An injector's ``emit`` also returns
-a dict holding its trigger. The methods are taken from the block instance
-once per run and called with positional arguments. A run that starts late
-calls ``restart`` after ``bind``.
+The engine owns the step index ``k``; the step's time is ``k * clock.dt_s``.
+Once per step it calls ``state_outputs(k, values)`` on every block that
+declares state outputs, then ``emit(k, values)`` in topological order over
+feedthrough dependencies, then tests the whole list for a non-finite value
+once, then calls ``advance(k, values)`` on every block whose class
+overrides ``Block.advance``; the first two write all their outputs into
+``values``. A block with neither (the monitor, an injector) costs the step
+loop one ``emit`` call. An injector's ``emit`` also returns a dict holding
+its trigger. The methods are taken from the block instance once per run
+and called with positional arguments. A run that starts late calls
+``restart`` after ``bind``.
 """
 
 from __future__ import annotations
@@ -31,7 +34,8 @@ class Block:
     """Base block: stateless pass-through with no ports.
 
     Subclasses override the port tuples, ``bind`` and whichever step methods
-    they need. ``feedthrough_inputs`` must list every input that ``emit``'s
+    they need; a step method gets the step index, never a time or a step
+    size. ``feedthrough_inputs`` must list every input that ``emit``'s
     outputs depend on in the same step (an injector's upstream triggers
     through its schedule); the engine orders emits from it.
     """
@@ -52,16 +56,17 @@ class Block:
     def reset(self) -> None:
         pass
 
-    def bind(self, slots: dict[str, int]) -> None:
-        """Look up this run's slots of the block's signals in ``slots``."""
+    def bind(self, slots: dict[str, int], clock) -> None:
+        """Look up this run's slots of the block's signals in ``slots``;
+        ``clock`` is the run's ``scenario.ClockConfig``."""
 
-    def state_outputs(self, t: float, values: list) -> None:
+    def state_outputs(self, k: int, values: list) -> None:
         pass
 
-    def emit(self, t: float, values: list) -> None:
+    def emit(self, k: int, values: list) -> None:
         pass
 
-    def advance(self, t: float, values: list, dt: float) -> None:
+    def advance(self, k: int, values: list) -> None:
         pass
 
     def restart(self, k: int, golden) -> None:

@@ -77,8 +77,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_val = sub.add_parser("validate", parents=[common],
-                           help="check a scenario file against the schema")
+    p_val = sub.add_parser("validate", help="check a scenario file against the schema")
     p_val.add_argument("scenario", help="scenario JSON file (or a shipped preset name)")
 
     p_run = sub.add_parser("run", parents=[common], help="execute one simulation run")

@@ -269,27 +269,28 @@ class DmpSystemBlock(Block):
         self.reset()
 
     def reset(self) -> None:
-        self.k = 0
         self._chunk_start = 0
         self._chunk: list[list[float]] = []  # rows from _chunk_start on, as floats
 
-    def bind(self, slots: dict[str, int]) -> None:
+    def bind(self, slots: dict[str, int], clock) -> None:
+        """Also check that the run is one the table holds: its step size and
+        at most its number of steps."""
+        if clock.dt_s != self.targets.dt:
+            raise ValueError(f"DMP targets were rolled out with dt={self.targets.dt}, "
+                             f"run with dt={clock.dt_s}")
+        if clock.n_steps > self.targets.n_steps:
+            raise ValueError(f"DMP targets were rolled out for {self.targets.n_steps} steps, "
+                             f"run for {clock.n_steps}")
         self._written = slot_range(slots, self.state_output_names)
 
-    def state_outputs(self, t: float, values: list) -> None:
-        i = self.k - self._chunk_start
+    def state_outputs(self, k: int, values: list) -> None:
+        i = k - self._chunk_start
         if not 0 <= i < len(self._chunk):
-            self._chunk_start = self.k
-            rows = self.targets.rows[self.k:self.k + ROLLOUT_CHUNK]
+            self._chunk_start = k
+            rows = self.targets.rows[k:k + ROLLOUT_CHUNK]
             self._chunk = rows[:, self._columns].tolist()
             i = 0
         values[self._written] = self._chunk[i]
 
     def restart(self, k: int, golden) -> None:
-        self.k = k
-
-    def advance(self, t: float, values: list, dt: float) -> None:
-        if dt != self.targets.dt:
-            raise ValueError(f"DMP targets were rolled out with dt={self.targets.dt}, "
-                             f"stepped with dt={dt}")
-        self.k += 1
+        """Nothing to set: the targets are read by step."""

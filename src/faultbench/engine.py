@@ -13,8 +13,9 @@ graph numbers one slot per signal, and a run keeps the values in one list
    completed list.
 
 A block without state outputs or without an ``advance`` of its own (the
-monitor, the injectors) is not called in that phase. Each block's slots are
-checked for a non-finite value before the next block runs.
+monitor, the injectors) is not called in that phase. The engine alone
+counts the steps and passes each step method the step index ``k``; between
+phases 2 and 3 it tests the whole list for a non-finite value, once.
 
 Randomness comes from one PCG64 substream per injector, derived from the
 run seed and the block name, so traces are bit-identical for a fixed
@@ -37,7 +38,7 @@ import numpy as np
 from . import dmp as dmp_mod
 from . import faults as faults_mod
 from . import plant as plant_mod
-from .blocks import Block, slot_range
+from .blocks import Block
 from .scenario import (ClockConfig, ScenarioConfig, injectable_signal_names, load_demo_csv,
                        read_demo_bytes)
 
@@ -187,12 +188,12 @@ def run(graph: BlockGraph, clock: ClockConfig, seed: int,
     NumericalDivergence on the first non-finite value written: publishers
     first, then ``emit_order``, each block's outputs in declaration order.
 
-    Every block is reset and bound to ``graph.slots``, and each injector
-    draws its schedule, in ``emit_order``. With ``golden``, the trace of the
-    same run without injectors on at least this graph's joints, the blocks
-    ``restart`` at the first window, and the rows before it come from
-    ``golden``: an injector's output column is its target's, its trigger
-    column 0.
+    Every block is reset and bound to ``graph.slots`` and ``clock``, and
+    each injector draws its schedule, in ``emit_order``. With ``golden``,
+    the trace of the same run without injectors on at least this graph's
+    joints, the blocks ``restart`` at the first window, and the rows before
+    it come from ``golden``: an injector's output column is its target's,
+    its trigger column 0.
 
     Then each block's step methods are taken from the instance, so a tracer
     may replace them there before the run, and called once per step with
@@ -203,7 +204,6 @@ def run(graph: BlockGraph, clock: ClockConfig, seed: int,
     steps = clock.n_steps
     dt = clock.dt_s
     columns = graph.monitored
-    signals = tuple(graph.slots)
     data = np.empty((steps, len(columns)))
     t_arr = np.arange(steps) * dt
     # a row is a tuple of the monitored values for several columns and the
@@ -215,7 +215,7 @@ def run(graph: BlockGraph, clock: ClockConfig, seed: int,
 
     for b in graph.blocks:
         b.reset()
-        b.bind(graph.slots)
+        b.bind(graph.slots, clock)
     windows = {}  # trigger signal -> its injector's windows
     for b in graph.emit_order:
         if isinstance(b, faults_mod.Injector):
@@ -231,30 +231,25 @@ def run(graph: BlockGraph, clock: ClockConfig, seed: int,
             for b in graph.blocks:
                 b.restart(start, golden)
 
-    publishers = [(b.state_outputs, slot_range(graph.slots, b.state_output_names), b.name)
-                  for b in graph.blocks if b.state_output_names]
-    emitters = [(b.emit, slot_range(graph.slots, b.emit_output_names), b.name)
-                for b in graph.emit_order]
+    publishers = [b.state_outputs for b in graph.blocks if b.state_output_names]
+    emitters = [b.emit for b in graph.emit_order]
     advancers = [b.advance for b in graph.blocks if type(b).advance is not Block.advance]
     isfinite = math.isfinite
-    values: list = [None] * len(signals)
+    values: list = [None] * len(graph.slots)
     for k in range(start, steps):
-        t = k * dt
-        for state_outputs, written, name in publishers:
-            state_outputs(t, values)
-            if not isfinite(sum(values[written])):
-                _check_finite(values, written, signals, t, name)
-        for emit, written, name in emitters:
-            emit(t, values)
-            if not isfinite(sum(values[written])):
-                _check_finite(values, written, signals, t, name)
+        for state_outputs in publishers:
+            state_outputs(k, values)
+        for emit in emitters:
+            emit(k, values)
+        if not isfinite(sum(values)):
+            _check_finite(graph, values, k * dt)
         if monitored_values is not None:
             rows.append(monitored_values(values))
             if len(rows) == TRACE_CSV_CHUNK:
                 rows_into[k + 1 - TRACE_CSV_CHUNK:k + 1] = rows
                 rows.clear()
         for advance in advancers:
-            advance(t, values, dt)
+            advance(k, values)
     if rows:
         rows_into[steps - len(rows):] = rows
     return TraceLog(columns=columns, t=t_arr, data=data)
@@ -271,14 +266,18 @@ def _golden_column(graph: BlockGraph, golden: TraceLog, column: str) -> np.ndarr
     return golden.signal(column)
 
 
-def _check_finite(values: list, written: slice, signals: tuple[str, ...], t: float,
-                  block: str) -> None:
-    """Raise on the first non-finite value in the slots ``written``. The
-    step loop calls it when their sum is not finite, so a finite overflow
-    of the sum passes the scan."""
-    for i in range(written.start, written.stop):
-        if not math.isfinite(values[i]):
-            raise NumericalDivergence(t, block, signals[i], values[i])
+def _check_finite(graph: BlockGraph, values: list, t: float) -> None:
+    """Raise on the first non-finite value in the order the step wrote
+    them: publishers first, then ``emit_order``, each block's outputs in
+    declaration order. The step loop calls it when the sum of all values is
+    not finite, so a finite overflow of the sum passes the scan."""
+    written = [(b, b.state_output_names) for b in graph.blocks] + \
+        [(b, b.emit_output_names) for b in graph.emit_order]
+    for b, names in written:
+        for sig in names:
+            value = values[graph.slots[sig]]
+            if not math.isfinite(value):
+                raise NumericalDivergence(t, b.name, sig, value)
 
 
 # --------------------------------------------------------------------------
@@ -343,7 +342,8 @@ def build_graph(cfg: ScenarioConfig, joints: tuple[str, ...] | None = None) -> B
     demo, the DMP settings and the clock. They are fitted once per process
     and rolled out on the first step of the first run of the graph (not
     here); later graphs of the same scenario share that table, so the graph
-    must run on ``cfg.clock``.
+    must run on ``cfg.clock`` (a run on another step size, or on more steps,
+    is a ``ValueError`` before its first step).
 
     ``joints`` names the joints the graph holds (by default all of them),
     kept in declaration order. The trajectory generator reads their columns

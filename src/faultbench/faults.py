@@ -258,7 +258,6 @@ class Injector(Block):
         self.reset()
 
     def reset(self) -> None:
-        self._step_idx = 0
         self._held = 0.0
         self._active_until = 0
         self._next_start = math.inf
@@ -341,7 +340,6 @@ class Injector(Block):
         """The state after ``k`` steps before the first window, on the
         inputs in ``golden``'s column of the target signal."""
         seen = golden.signal(self.spec.target_signal)
-        self._step_idx = k
         self._held = float(seen[k - 1])
         if self._dbuf is not None:
             self._dbuf.extend(seen[max(0, k - self._delay_steps):k].tolist())
@@ -377,14 +375,12 @@ class Injector(Block):
 
     # -- block protocol -------------------------------------------------------
 
-    def bind(self, slots: dict[str, int]) -> None:
+    def bind(self, slots: dict[str, int], clock) -> None:
         self._read = slots[self.in_signal]
         self._out_slot = slots[self.out_signal]
         self._trigger_slot = slots[self.trigger_signal]
 
-    def emit(self, t: float, values: list) -> dict[str, float]:
-        k = self._step_idx
-        self._step_idx = k + 1
+    def emit(self, k: int, values: list) -> dict[str, float]:
         x = y = values[self._read]
         active = k < self._active_until or k == self._next_start
         if active:

@@ -196,7 +196,8 @@ class PlantBlock(Block):
         self.thetas = list(self.theta0)
         self.omegas = [0.0] * len(self.joints)
 
-    def bind(self, slots: dict[str, int]) -> None:
+    def bind(self, slots: dict[str, int], clock) -> None:
+        self._dt = clock.dt_s
         written = slot_range(slots, self.state_output_names)
         self._thetas_written = slice(written.start, written.stop, 2)
         self._omegas_written = slice(written.start + 1, written.stop, 2)
@@ -211,11 +212,11 @@ class PlantBlock(Block):
         self.thetas = [float(golden.signal(pos)[k]) for pos, _ in self._state_pairs]
         self.omegas = [float(golden.signal(vel)[k]) for _, vel in self._state_pairs]
 
-    def state_outputs(self, t: float, values: list) -> None:
+    def state_outputs(self, k: int, values: list) -> None:
         values[self._thetas_written] = self.thetas
         values[self._omegas_written] = self.omegas
 
-    def emit(self, t: float, values: list) -> None:
+    def emit(self, k: int, values: list) -> None:
         """The computed-torque + PD law per joint: writes the raw demand and
         the applied torque, the demand saturated to the rating by two
         comparisons (as ``max(-m, min(m, demand))``, NaN included). The
@@ -229,10 +230,10 @@ class PlantBlock(Block):
             values[torque] = cmd if cmd > -max_torque else -max_torque
             values[torque_cmd] = demand
 
-    def advance(self, t: float, values: list, dt: float) -> None:
+    def advance(self, k: int, values: list) -> None:
         """A semi-implicit Euler step of I * d(omega)/dt = tau - b * omega
         per joint, on the state lists in place."""
-        thetas, omegas = self.thetas, self.omegas
+        thetas, omegas, dt = self.thetas, self.omegas, self._dt
         for i, (applied, damping, inertia) in enumerate(self._dynamics):
             omega = omegas[i]
             alpha = (values[applied] - damping * omega) / inertia
@@ -250,6 +251,7 @@ class MonitorBlock(Block):
     through ``reads``, as ``PlantBlock`` reads it. A step on which every
     joint passes ``monitor``'s own skip test is checked here without calling
     it; any other step goes through ``monitor``, which makes every record.
+    A record of step ``k`` has ``t = k * dt``, the trace's ``t`` of its step.
     """
 
     def __init__(self, name: str, joints: list[JointParams],
@@ -265,7 +267,8 @@ class MonitorBlock(Block):
     def reset(self) -> None:
         self.violations: list[ViolationRecord] = []
 
-    def bind(self, slots: dict[str, int]) -> None:
+    def bind(self, slots: dict[str, int], clock) -> None:
+        self._dt = clock.dt_s
         n = len(self.joints)
         read = [slots[sig] for sig in self.inputs]
         self._read = tuple(read[i * n:(i + 1) * n] for i in range(4))  # pos, vel, demand, applied
@@ -277,7 +280,7 @@ class MonitorBlock(Block):
     def restart(self, k: int, golden) -> None:
         """``experiments.simulate`` adds the golden run's records."""
 
-    def emit(self, t: float, values: list) -> None:
+    def emit(self, k: int, values: list) -> None:
         for pos, vel, demand, applied, max_torque, max_speed, rot_min, rot_max in self._checks:
             if not (abs(values[demand]) <= max_torque and abs(values[applied]) <= max_torque
                     and abs(values[vel]) <= max_speed and rot_min <= values[pos] <= rot_max):
@@ -288,6 +291,6 @@ class MonitorBlock(Block):
         thetas, omegas, demands, taus = ([values[i] for i in read] for read in self._read)
         torques = [demand if abs(demand) > p.max_torque else tau
                    for p, demand, tau in zip(self.joints, demands, taus)]
-        records = monitor(self.joints, thetas, omegas, torques, t)
+        records = monitor(self.joints, thetas, omegas, torques, k * self._dt)
         self.violations.extend(records)
         values[self._written] = float(len(records))

@@ -40,22 +40,22 @@ def stuck_spec(name="stuck", target="plant.right_knee.pos", p=0.0005,
     )
 
 
-def bind_alone(block, inputs=()):
-    """Bind ``block`` to slots of its outputs, numbered as ``BlockGraph``
-    numbers them, then of the other ``inputs``; returns the slots and a
-    value list of that length."""
+def bind_alone(block, inputs=(), clock=ClockConfig()):
+    """Bind ``block`` to ``clock`` and to slots of its outputs, numbered as
+    ``BlockGraph`` numbers them, then of the other ``inputs``; returns the
+    slots and a value list of that length."""
     slots = {sig: i for i, sig in enumerate(dict.fromkeys(block.output_names + tuple(inputs)))}
-    block.bind(slots)
+    block.bind(slots, clock)
     return slots, [None] * len(slots)
 
 
-def emit_named(block, t, signals):
-    """``block.emit`` on a value list holding ``signals``; returns what it
-    wrote, by signal name."""
-    slots, values = bind_alone(block, tuple(signals))
+def emit_named(block, k, signals, dt=1e-3):
+    """``block.emit`` of step ``k`` of a ``dt`` clock on a value list
+    holding ``signals``; returns what it wrote, by signal name."""
+    slots, values = bind_alone(block, tuple(signals), ClockConfig(dt_s=dt))
     for name, value in signals.items():
         values[slots[name]] = value
-    block.emit(t, values)
+    block.emit(k, values)
     return {name: values[slots[name]] for name in block.emit_output_names}
 
 
@@ -70,7 +70,7 @@ def drive_injector(inj, inputs, rng, triggers=None):
     outs, trigs = [], []
     for k, x in enumerate(inputs):
         values[slots[inj.in_signal]] = float(x)
-        inj.emit(k * inj.dt, values)
+        inj.emit(k, values)
         outs.append(values[slots[inj.out_signal]])
         trigs.append(values[slots[inj.trigger_signal]] == 1.0)
     return outs, trigs

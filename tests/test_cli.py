@@ -59,6 +59,15 @@ def test_validate_shipped_presets(capsys):
     assert run_cli("validate", MINIMAL) == 0
 
 
+def test_validate_takes_only_the_scenario(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exc_info:
+        run_cli("validate", CASE_STUDY, "--out", "x")
+    assert exc_info.value.code == 2
+    assert "unrecognized arguments: --out x" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_validate_semantic_violation_lists_and_exits_1(tmp_path, capsys):
     raw = json.loads(data_path("case_study.json").read_text())
     raw["injectors"][0]["chain_to"] = "knee_pos_stuck"

@@ -233,28 +233,21 @@ class Emitter(Block):
             self.emit_output_names = names
         else:
             self.state_output_names = names
-        self.reset()
 
-    def reset(self):
-        self.k = 0
-
-    def bind(self, slots):
+    def bind(self, slots, clock):
         self.written = slot_range(slots, self.emit_output_names or self.state_output_names)
 
-    def _out(self, values):
-        if self.k < self.bad_step:
+    def _out(self, k, values):
+        if k < self.bad_step:
             values[self.written] = [0.0] * len(self.values)
         else:
             values[self.written] = list(self.values.values())
 
-    def state_outputs(self, t, values):
-        self._out(values)
+    def state_outputs(self, k, values):
+        self._out(k, values)
 
-    def emit(self, t, values):
-        self._out(values)
-
-    def advance(self, t, values, dt):
-        self.k += 1
+    def emit(self, k, values):
+        self._out(k, values)
 
 
 NON_FINITE_OUTPUTS = [
@@ -284,6 +277,25 @@ def test_finite_outputs_whose_sum_overflows_pass(emitted):
                                        emitted)])
     trace = engine.run(graph, ClockConfig(dt_s=0.25, t_end_s=1.0), 0)
     assert trace.data.tolist()[-1] == [1e308, 1e308, -1e308]
+
+
+def test_of_two_non_finite_blocks_on_one_step_the_first_written_is_named():
+    clock = ClockConfig(dt_s=0.25, t_end_s=2.0)
+    # a state output is written before any emitted output
+    graph = engine.BlockGraph([Emitter("emits", {"x": math.nan}, emitted=True),
+                               Emitter("state", {"x": math.inf}, emitted=False)])
+    with pytest.raises(engine.NumericalDivergence) as exc_info:
+        engine.run(graph, clock, 0)
+    assert (exc_info.value.block, exc_info.value.signal) == ("state", "state.x")
+    # "late" is declared first but reads "early", so "early" emits first
+    late = Emitter("late", {"y": math.nan}, emitted=True)
+    late.inputs = ("early.x",)
+    graph = engine.BlockGraph([late, Emitter("early", {"x": -math.inf}, emitted=True)])
+    assert [b.name for b in graph.emit_order] == ["early", "late"]
+    with pytest.raises(engine.NumericalDivergence) as exc_info:
+        engine.run(graph, clock, 0)
+    assert (exc_info.value.block, exc_info.value.signal, exc_info.value.t) == \
+        ("early", "early.x", 0.75)
 
 
 def test_run_calls_each_step_method_once_per_step(case_study_cfg):
@@ -329,9 +341,9 @@ def test_dmp_block_leads_and_publishes_once_per_step(case_study_cfg):
     assert isinstance(block, dmp.DmpSystemBlock)
     seen = []
 
-    def counted(t, values, original=block.state_outputs):
-        seen.append(block.k)
-        return original(t, values)
+    def counted(k, values, original=block.state_outputs):
+        seen.append(k)
+        return original(k, values)
     block.state_outputs = counted
     trace = engine.run(graph, cfg.clock, 0)
     assert seen == list(range(300))
@@ -352,11 +364,11 @@ class Recorder(Block):
     def reset(self):
         self.rows = []
 
-    def bind(self, slots):
+    def bind(self, slots, clock):
         self.read = [slots[name] for name in self.inputs]
         self.written = slots["recorder.rows"]
 
-    def emit(self, t, values):
+    def emit(self, k, values):
         self.rows.append([values[slot] for slot in self.read])
         values[self.written] = float(len(self.rows))
 
@@ -596,3 +608,8 @@ def test_dmp_block_rejects_another_step_size(minimal_cfg):
     graph = engine.build_graph(minimal_cfg)
     with pytest.raises(ValueError):
         engine.run(graph, replace(minimal_cfg.clock, dt_s=2e-3), 0)
+    # a longer clock than the graph was built on: more steps than its table
+    short = replace(minimal_cfg, clock=ClockConfig(dt_s=1e-3, t_end_s=0.3))
+    graph = engine.build_graph(short)
+    with pytest.raises(ValueError, match="rolled out for 300 steps, run for 500"):
+        engine.run(graph, ClockConfig(dt_s=1e-3, t_end_s=0.5), 0)

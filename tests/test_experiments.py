@@ -635,6 +635,13 @@ def assert_matches_full_run(restarted, full):
             assert np.array_equal(restarted.trace.signal(column), full.trace.signal(column),
                                   equal_nan=True), column
     assert (restarted.activations, restarted.violations) == (full.activations, full.violations)
+    # each record's t is its step's trace.t, bit for bit: the merge compares it exactly
+    step_of = {t: k for k, t in enumerate(full.trace.t.tolist())}
+    assert all(v.t in step_of for v in restarted.violations + full.violations)
+    if "monitor.violations" in full.trace.columns:
+        steps = np.array([step_of[v.t] for v in full.violations], dtype=int)
+        assert np.array_equal(np.bincount(steps, minlength=len(full.trace)),
+                              full.trace.signal("monitor.violations"))
 
 
 @pytest.mark.parametrize("cfg,seed,first", RESTARTED_RUNS)

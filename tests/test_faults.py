@@ -476,7 +476,7 @@ def test_restart_sets_the_state_of_the_steps_it_skips(fault_type, event, effect,
     slots, values = bind_alone(stepped, ("sig",))
     for i in range(k):
         values[slots["sig"]] = float(inputs[i])
-        assert stepped.emit(i * DT, values) == {"inj.x.trigger": 0.0}
+        assert stepped.emit(i, values) == {"inj.x.trigger": 0.0}
         assert values[slots["inj.x.out"]] == inputs[i]
     restarted = make_injector(fault_type, event, effect, enabled)
     restarted.schedule(_generator(), 400)
@@ -493,7 +493,7 @@ def test_restart_sets_the_state_of_the_steps_it_skips(fault_type, event, effect,
         out = []
         for i in range(k, 400):
             values[slots["sig"]] = float(inputs[i])
-            out.append((inj.emit(i * DT, values), values[slots["inj.x.out"]]))
+            out.append((inj.emit(i, values), values[slots["inj.x.out"]]))
         outs.append(out)
     assert outs[0] == outs[1]
     assert restarted.activations == stepped.activations

@@ -10,6 +10,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from faultbench import plant
+from faultbench.scenario import ClockConfig
 
 from conftest import bind_alone, emit_named
 
@@ -226,16 +227,15 @@ def step_plant_block(block, targets, dt):
     """Drive ``block`` through the engine's step order with the given
     (pos, vel, acc) targets per step; returns the per-step outputs."""
     rows = []
-    slots, values = bind_alone(block, block.inputs)
+    slots, values = bind_alone(block, block.inputs, ClockConfig(dt_s=dt))
     for k, step_targets in enumerate(targets):
-        t = k * dt
-        block.state_outputs(t, values)
+        block.state_outputs(k, values)
         for p, triple in zip(block.joints, step_targets):
             for field, value in zip(("pos", "vel", "acc"), triple):
                 values[slots[f"dmp.{p.name}.{field}"]] = value
-        block.emit(t, values)
+        block.emit(k, values)
         rows.append([values[slots[name]] for name in block.output_names])
-        block.advance(t, values, dt)
+        block.advance(k, values)
     return np.array(rows)
 
 
@@ -293,7 +293,7 @@ def test_plant_block_controller_reads_the_measured_signals_it_is_given():
                     "plant.right_knee.pos": 9.0, "plant.right_knee.vel": 9.0})
     tau_cmd, demand = dynamic_control(0.1, 0.2, 30.0, -0.05, 0.4, p.inertia,
                                             200.0, 20.0, p.max_torque)
-    assert emit_named(block, 0.0, signals) == {"plant.right_knee.torque": tau_cmd,
+    assert emit_named(block, 0, signals) == {"plant.right_knee.torque": tau_cmd,
                                               "plant.right_knee.torque_cmd": demand}
 
 
@@ -337,7 +337,8 @@ def test_monitor_block_records_what_monitor_returns():
                             f"plant.{p.name}.torque": clamped(p, tau)})
         thetas, omegas, demands = (list(column) for column in zip(*step))
         records = plant.monitor(joints, thetas, omegas, demands, t)
-        assert emit_named(block, t, signals) == {"monitor.violations": float(len(records))}
+        assert emit_named(block, k, signals, dt=0.25) == \
+            {"monitor.violations": float(len(records))}
         expected.extend(records)
     assert block.violations == expected
     kinds = {(r.joint, r.kind) for r in expected}
@@ -352,7 +353,8 @@ def test_one_joint_monitor_block():
         signals = {"plant.right_knee.pos": theta, "plant.right_knee.vel": omega,
                    "plant.right_knee.torque_cmd": tau, "plant.right_knee.torque": clamped(p, tau)}
         records = plant.monitor([p], [theta], [omega], [tau], float(k))
-        assert emit_named(block, float(k), signals) == {"monitor.violations": float(len(records))}
+        assert emit_named(block, k, signals, dt=1.0) == \
+            {"monitor.violations": float(len(records))}
         expected.extend(records)
     assert block.violations == expected
     # at the limits and NaN inputs: nothing; past one limit: one record each
@@ -370,7 +372,7 @@ def test_monitor_block_checks_the_applied_torque_it_reads():
                                       (0.5 * m, 2.0 * m, 2.0 * m), (-0.5 * m, -2.0 * m, -2.0 * m),
                                       (1.5 * m, 3.0 * m, 1.5 * m), (1.5 * m, 0.0, 1.5 * m)]:
         block.reset()
-        emit_named(block, 0.0, {"plant.right_knee.pos": -0.5, "plant.right_knee.vel": 0.0,
-                                "plant.right_knee.torque_cmd": demand, "inj.t.out": applied})
+        emit_named(block, 0, {"plant.right_knee.pos": -0.5, "plant.right_knee.vel": 0.0,
+                              "plant.right_knee.torque_cmd": demand, "inj.t.out": applied})
         assert [(r.kind, r.value) for r in block.violations] == \
             ([] if recorded is None else [(plant.ViolationKind.TORQUE_ERROR, recorded)])
