@@ -190,6 +190,9 @@ def cmd_sweep(args) -> int:
     if args.seeds < 1:
         print(f"--seeds must be at least 1, got {args.seeds}", file=sys.stderr)
         return EXIT_CONFIG
+    if args.jobs < 1:
+        print(f"--jobs must be at least 1, got {args.jobs}", file=sys.stderr)
+        return EXIT_CONFIG
 
     if args.preset == "coarse":
         durations = experiments.COARSE_DURATIONS

@@ -107,7 +107,11 @@ def learn_system_weights(times: np.ndarray, demo: np.ndarray,
     # an overflow here shows as a non-finite weight, which is rejected below
     with np.errstate(over="ignore", invalid="ignore"):
         s = np.exp(-params.alpha_s * (times - times[0]) / tau)
-        psi = np.exp(-params.widths[:, None] * (s[None, :] - params.centers[:, None]) ** 2)
+        # exp(-widths * (s - centers) ** 2), built in one array
+        psi = np.subtract(s[None, :], params.centers[:, None])
+        np.square(psi, out=psi)
+        np.multiply(-params.widths[:, None], psi, out=psi)
+        np.exp(psi, out=psi)
     fitted = []
     for positions in demo.T:
         g = float(positions[-1])
@@ -158,6 +162,20 @@ def _shared_phase(params: list[DmpParams]) -> tuple[float, float]:
 ROLLOUT_CHUNK = 256  # steps whose basis activations are held at once
 
 
+def _row_dots(rows: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """``[[row.dot(w) for w in weights] for row in rows]``, bit for bit, in
+    one call.
+
+    ``np.vecdot`` takes each product through the BLAS ``ddot`` call that
+    ``ndarray.dot`` makes on two vectors (``np.einsum`` and ``@`` do not).
+    But ``ndarray.dot`` multiplies one-element vectors as scalars, where
+    ``vecdot`` adds the product to +0.0 and so turns a -0.0 into +0.0.
+    """
+    if rows.shape[1] == 1:
+        return rows * weights[:, 0]
+    return np.vecdot(rows[:, None, :], weights)
+
+
 def rollout(params: list[DmpParams], dt: float, n_steps: int) -> np.ndarray:
     """Targets of the joints ``params`` driven by one shared phase, for
     ``n_steps`` steps of ``dt`` from the start state.
@@ -168,11 +186,18 @@ def rollout(params: list[DmpParams], dt: float, n_steps: int) -> np.ndarray:
     advances it by Euler with dz = (ddy * tau) * dt. That product is not
     bit-equal to zdot * dt, and the pinned simulation outputs depend on it.
 
-    The phase and the basis activations are shared by all joints, so they
-    are computed in bulk, ``ROLLOUT_CHUNK`` steps at a time; the per-joint
-    arithmetic keeps the order of one joint stepped alone, so the table is
-    bit-equal to stepping each joint (``tests/test_dmp.py`` holds that
-    step-by-step reference).
+    The forcing term depends on the phase alone, never on a joint's state,
+    so it is computed in bulk, ``ROLLOUT_CHUNK`` steps at a time: the phase,
+    the basis activations shared by all joints, and then every joint's
+    forcing ``psi . weights / sum(psi) * s * (g - y0)`` in one call
+    (0 where ``sum(psi)`` underflows). Only the Euler recurrence is
+    stepped, one joint at a time over the chunk.
+
+    The table is bit-equal to stepping each joint alone with
+    ``row.dot(weights)`` (``tests/test_dmp.py`` holds that step-by-step
+    reference): ``_row_dots`` gives the bits of each of those dot products,
+    and the division and the two products are single elementwise
+    operations in the scalar expression's order.
     """
     alpha_s, tau = _shared_phase(params)
     # the phase's exact decay over one step; row k's phase is its k-th power,
@@ -182,30 +207,33 @@ def rollout(params: list[DmpParams], dt: float, n_steps: int) -> np.ndarray:
     np.multiply.accumulate(phase, out=phase)
     neg_widths = -params[0].widths
     centers = params[0].centers
-    joints = [(p.alpha_z, p.beta_z, p.g, p.g - p.y0, p.weights) for p in params]
-    ys = [p.y0 for p in params]
-    zs = [p.z0 for p in params]
+    weights = np.array([p.weights for p in params])
+    amplitudes = np.array([p.g - p.y0 for p in params])
+    states = [(p.y0, p.z0) for p in params]
     table = np.empty((n_steps, 3 * len(params)))
     for start in range(0, n_steps, ROLLOUT_CHUNK):
-        s_chunk = phase[start:start + ROLLOUT_CHUNK]
-        with np.errstate(all="ignore"):  # see TargetTable.rows
-            psi = np.exp(neg_widths * (s_chunk[:, None] - centers) ** 2)
-        rows = []
-        for row, s, denom in zip(psi, s_chunk.tolist(), psi.sum(axis=1).tolist()):
-            out = []
-            for j, (alpha_z, beta_z, g, amplitude, weights) in enumerate(joints):
-                # forcing: psi @ weights / sum(psi) * s * (g - y0), with
-                # dot() rather than the @ operator's dispatch
-                f = 0.0 if denom < 1e-300 else float(row.dot(weights)) / denom * s * amplitude
-                y, z = ys[j], zs[j]
+        s_chunk = phase[start:start + ROLLOUT_CHUNK, None]
+        # vecdot is a ufunc and checks the FP flags, unlike ndarray.dot;
+        # see TargetTable.rows
+        with np.errstate(all="ignore"):
+            psi = np.exp(neg_widths * (s_chunk - centers) ** 2)
+            denom = psi.sum(axis=1, keepdims=True)
+            forcing = _row_dots(psi, weights) / denom * s_chunk * amplitudes
+            forcing[denom[:, 0] < 1e-300] = 0.0
+        stop = start + len(forcing)
+        for j, p in enumerate(params):
+            alpha_z, beta_z, g = p.alpha_z, p.beta_z, p.g
+            y, z = states[j]
+            rows = []
+            for f in forcing[:, j].tolist():
                 zdot = (alpha_z * (beta_z * (g - y) - z) + f) / tau
                 yd = z / tau
                 ydd = zdot / tau
-                out += (y, yd, ydd)
-                ys[j] = y + yd * dt
-                zs[j] = z + (ydd * tau) * dt
-            rows.append(out)
-        table[start:start + len(rows)] = rows
+                rows.append((y, yd, ydd))
+                y = y + yd * dt
+                z = z + (ydd * tau) * dt
+            states[j] = (y, z)
+            table[start:stop, 3 * j:3 * j + 3] = rows
     table.flags.writeable = False
     return table
 

@@ -39,7 +39,6 @@ from __future__ import annotations
 import enum
 import json
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, replace
 
 import numpy as np
@@ -314,6 +313,10 @@ def run_sweep(plan: SweepPlan, jobs: int = 1) -> SweepResult:
     if jobs <= 1:
         cells = [_run_cell(*task) for task in tasks]
     else:
+        # imported here, so that a process with no pool (run, validate, a
+        # study, a serial sweep) does not pay its modules' 15 ms and 2 MB
+        from concurrent.futures import ProcessPoolExecutor
+
         # the pool starts all its workers up front, so no more than cells
         with ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
             cells = list(pool.map(_run_cell, *zip(*tasks), chunksize=1))

@@ -32,16 +32,21 @@ def run_cli(*argv):
     return cli.main(list(argv))
 
 
-def run_cli_process(*argv):
-    """The exit code, stdout and stderr of ``python -m faultbench`` in a
-    fresh interpreter."""
+def run_python(*argv):
+    """The exit code, stdout and stderr of ``python argv`` in a fresh
+    interpreter that imports this faultbench."""
     src = str(Path(cli.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, (src, os.environ.get("PYTHONPATH"))))}
     env.pop("PYTHONWARNINGS", None)
-    proc = subprocess.run([sys.executable, "-m", "faultbench", *argv], capture_output=True,
-                          text=True, env=env)
+    proc = subprocess.run([sys.executable, *argv], capture_output=True, text=True, env=env)
     return proc.returncode, proc.stdout, proc.stderr
+
+
+def run_cli_process(*argv):
+    """The exit code, stdout and stderr of ``python -m faultbench`` in a
+    fresh interpreter."""
+    return run_python("-m", "faultbench", *argv)
 
 
 def assert_pinned(out_dir, pinned, names=("trace.csv", "violations.csv")):
@@ -372,6 +377,30 @@ def test_sweep_without_seeds_exits_2(tmp_path, capsys):
                        "--jobs", "1", "--out", str(tmp_path / "o"), "--quiet") == 2
         assert "--seeds" in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
+
+
+def test_sweep_without_jobs_exits_2(tmp_path, capsys):
+    scenario = sweep_scenario(tmp_path, t_end=0.2)
+    for jobs in ("0", "-3"):
+        assert run_cli("sweep", scenario, "--durations", "0.05", "--seeds", "1",
+                       "--jobs", jobs, "--out", str(tmp_path / "o"), "--quiet") == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "--jobs" in err
+    assert not (tmp_path / "o").exists()
+
+
+def test_run_and_validate_load_no_process_pool(tmp_path):
+    # only a sweep on more than one job imports the pool and its modules
+    out_dir = str(tmp_path / "o")
+    code = ("import sys\n"
+            "from faultbench import cli\n"
+            f"assert cli.main(['validate', {MINIMAL!r}]) == 0\n"
+            f"assert cli.main(['run', {MINIMAL!r}, '--out', {out_dir!r}, '--quiet']) == 0\n"
+            "print(sorted(m for m in sys.modules\n"
+            "             if m.split('.')[0] in ('concurrent', 'multiprocessing')))")
+    rc, out, err = run_python("-c", code)
+    assert (rc, err) == (0, "")
+    assert out.splitlines()[-1] == "[]"
 
 
 def test_sweep_rejects_repeated_non_finite_or_negative_durations(tmp_path, capsys):

@@ -11,6 +11,9 @@ from dataclasses import dataclass
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from faultbench import dmp
 from faultbench.scenario import ClockConfig, data_path, load_demo_csv
@@ -340,3 +343,37 @@ def test_rollout_matches_stepped_block_on_edge_bases():
     table = dmp.rollout([sharp, replace(sharp, g=-1.0)], 1e-3, 1000)
     assert np.array_equal(table, stepped_block_targets([sharp, replace(sharp, g=-1.0)],
                                                        1e-3, 1000))
+
+
+def test_rollout_keeps_the_sign_of_a_one_basis_zero_forcing():
+    # row.dot on a one-element basis multiplies as scalars: -0.0 here, and the
+    # forcing is then +0.0; a forcing of -0.0 would make every acceleration -0.0
+    p = dmp.make_params(tau=1.0, g=-0.0, y0=0.0, n_basis=1, weights=np.array([-0.0]))
+    acc = dmp.rollout([p], 1e-3, 300)[:, 2]
+    assert np.all(acc == 0.0) and not np.signbit(acc).any()
+
+
+EDGE_FLOATS = st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
+                               1e300, -1e300, math.nan])
+DOT_ELEMENTS = st.one_of(EDGE_FLOATS, st.floats(-1e3, 1e3))
+
+
+@st.composite
+def dot_operands(draw, rows=st.integers(0, 300)):
+    n, m, j = draw(rows), draw(st.integers(1, 80)), draw(st.integers(1, 6))
+    return (draw(arrays(np.float64, (n, m), elements=DOT_ELEMENTS)),
+            draw(arrays(np.float64, (j, m), elements=DOT_ELEMENTS)))
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(dot_operands() | dot_operands(rows=st.sampled_from([255, 256, 257])))
+@example((np.zeros((1, 1)), -np.zeros((1, 1))))  # vecdot alone gives +0.0 here
+def test_row_dots_equal_row_dot_bit_for_bit(operands):
+    # the rollout's forcing relies on this: one call over a chunk gives the
+    # bits of ndarray.dot on each (row, weights) pair, signed zeros included
+    a, w = operands
+    with np.errstate(all="ignore"):
+        bulk = dmp._row_dots(a, w)
+        rowwise = np.array([[row.dot(v) for v in w] for row in a]).reshape(bulk.shape)
+    assert bulk.shape == (len(a), len(w))
+    assert bulk.tobytes() == rowwise.tobytes()

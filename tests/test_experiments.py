@@ -188,7 +188,7 @@ def test_sweep_starts_no_more_workers_than_cells(monkeypatch):
         def map(self, fn, *iterables, chunksize=1):
             return map(fn, *iterables)
 
-    monkeypatch.setattr(ex, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", SerialPool)
     ex.run_sweep(small_plan([0.05], seeds=2, t_end=0.1), jobs=4)
     assert asked == [2]
 
