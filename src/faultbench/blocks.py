@@ -9,22 +9,26 @@ A block exposes two kinds of output signals:
                      (instantaneous feedthrough)
 
 A run keeps every signal's value in one list, ``values``, at the signal's
-slot. A block knows only its signal names: at the start of each run the
-engine calls ``bind`` with the graph's slot of every signal and the run's
-clock. A block's outputs get consecutive slots in ``output_names`` order
+slot. A block's outputs get consecutive slots in ``output_names`` order
 (``slot_range``).
+
+``bind(slots, clock)`` starts a run: the block looks up the graph's slot
+of each of its signals, takes what it needs of the run's clock, and sets
+its step-0 state, so nothing of an earlier run survives it. The engine
+then lets each injector draw its schedule, and a run that starts late
+calls ``restart`` to set the state of its first step.
 
 The engine owns the step index ``k``; the step's time is ``k * clock.dt_s``.
 Once per step it calls ``state_outputs(k, values)`` on every block that
 declares state outputs, then ``emit(k, values)`` in topological order over
-feedthrough dependencies, then tests the whole list for a non-finite value
-once, then calls ``advance(k, values)`` on every block whose class
-overrides ``Block.advance``; the first two write all their outputs into
-``values``. A block with neither (the monitor, an injector) costs the step
-loop one ``emit`` call. An injector's ``emit`` also returns a dict holding
-its trigger. The methods are taken from the block instance once per run
-and called with positional arguments. A run that starts late calls
-``restart`` after ``bind``.
+feedthrough dependencies (any such order gives the same trace, because
+``emit`` reads only a block's feedthrough inputs), then tests the whole
+list for a non-finite value once, then calls ``advance(k, values)`` on
+every block whose class overrides ``Block.advance``; the first two write
+all their outputs into ``values``. A block with neither (the monitor, an
+injector) costs the step loop one ``emit`` call. The methods are taken
+from the block instance once per run and called with positional
+arguments.
 """
 
 from __future__ import annotations
@@ -53,12 +57,10 @@ class Block:
     def output_names(self) -> tuple[str, ...]:
         return self.state_output_names + self.emit_output_names
 
-    def reset(self) -> None:
-        pass
-
     def bind(self, slots: dict[str, int], clock) -> None:
-        """Look up this run's slots of the block's signals in ``slots``;
-        ``clock`` is the run's ``scenario.ClockConfig``."""
+        """Start a run: look up this run's slots of the block's signals in
+        ``slots`` and set the step-0 state; ``clock`` is the run's
+        ``scenario.ClockConfig``."""
 
     def state_outputs(self, k: int, values: list) -> None:
         pass
@@ -66,6 +68,8 @@ class Block:
     def emit(self, k: int, values: list) -> None:
         pass
 
+    # bench/child.py's tracer wraps this no-op on every block until the
+    # benchmark counts from what the package returns (ROADMAP item 1(a))
     def advance(self, k: int, values: list) -> None:
         pass
 

@@ -294,11 +294,6 @@ class DmpSystemBlock(Block):
         self.state_output_names = tuple(
             f"dmp.{j}.{field}" for j in joint_names for field in ("pos", "vel", "acc")
         )
-        self.reset()
-
-    def reset(self) -> None:
-        self._chunk_start = 0
-        self._chunk: list[list[float]] = []  # rows from _chunk_start on, as floats
 
     def bind(self, slots: dict[str, int], clock) -> None:
         """Also check that the run is one the table holds: its step size and
@@ -310,6 +305,8 @@ class DmpSystemBlock(Block):
             raise ValueError(f"DMP targets were rolled out for {self.targets.n_steps} steps, "
                              f"run for {clock.n_steps}")
         self._written = slot_range(slots, self.state_output_names)
+        self._chunk_start = 0
+        self._chunk: list[list[float]] = []  # rows from _chunk_start on, as floats
 
     def state_outputs(self, k: int, values: list) -> None:
         i = k - self._chunk_start

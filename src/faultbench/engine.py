@@ -1,21 +1,12 @@
 """Deterministic fixed-step executor for a graph of signal-processing blocks.
 
 Signals are named scalars; trigger lines are booleans carried as 0/1. The
-graph numbers one slot per signal, and a run keeps the values in one list
-(see ``blocks``). Each step proceeds in three phases:
-
-1. every block with state outputs writes them (values derivable from
-   internal state alone, hence from inputs of previous steps),
-2. blocks emit their feedthrough outputs in topological order over the
-   instantaneous-feedthrough subgraph (any such order gives the same
-   trace, because ``emit`` reads only a block's feedthrough inputs),
-3. every block that overrides ``Block.advance`` advances its state from the
-   completed list.
-
-A block without state outputs or without an ``advance`` of its own (the
-monitor, the injectors) is not called in that phase. The engine alone
-counts the steps and passes each step method the step index ``k``; between
-phases 2 and 3 it tests the whole list for a non-finite value, once.
+graph numbers one slot per signal, and a run keeps the values in one list.
+``blocks`` states the protocol: how ``bind`` starts a run, and the three
+phases of a step (state outputs, emits in feedthrough order, advances).
+The engine alone counts the steps and passes each step method the step
+index ``k``; between the emits and the advances it tests the whole list
+for a non-finite value, once.
 
 Randomness comes from one PCG64 substream per injector, derived from the
 run seed and the block name, so traces are bit-identical for a fixed
@@ -188,7 +179,7 @@ def run(graph: BlockGraph, clock: ClockConfig, seed: int,
     NumericalDivergence on the first non-finite value written: publishers
     first, then ``emit_order``, each block's outputs in declaration order.
 
-    Every block is reset and bound to ``graph.slots`` and ``clock``, and
+    ``bind`` starts every block's run on ``graph.slots`` and ``clock``, then
     each injector draws its schedule, in ``emit_order``. With ``golden``,
     the trace of the same run without injectors on at least this graph's
     joints, the blocks ``restart`` at the first window, and the rows before
@@ -214,12 +205,11 @@ def run(graph: BlockGraph, clock: ClockConfig, seed: int,
     rows: list = []
 
     for b in graph.blocks:
-        b.reset()
         b.bind(graph.slots, clock)
     windows = {}  # trigger signal -> its injector's windows
     for b in graph.emit_order:
         if isinstance(b, faults_mod.Injector):
-            b.schedule(np.random.Generator(np.random.PCG64(_block_seed(seed, b.name))), steps,
+            b.schedule(np.random.Generator(np.random.PCG64(_block_seed(seed, b.name))),
                        [w for sig in b.trigger_sources for w in windows[sig]])
             windows[b.trigger_signal] = b.windows
     start = 0 if golden is None else min(
@@ -372,7 +362,7 @@ def build_graph(cfg: ScenarioConfig, joints: tuple[str, ...] | None = None) -> B
                               f"which is no injectable signal")
         upstream = chain_end.get(spec.target_signal, spec.target_signal)
         triggers = tuple(f"inj.{src}.trigger" for src in chained_from.get(spec.name, ()))
-        inj = faults_mod.Injector(spec, cfg.clock.dt_s, upstream, triggers)
+        inj = faults_mod.Injector(spec, upstream, triggers)
         chain_end[spec.target_signal] = inj.out_signal
         injectors.append(inj)
 

@@ -21,9 +21,9 @@ Whatever the scenario's ``monitors`` list says, the faulty run of
 a cell records exactly the three columns the cell reads: the faulted joint's
 angle, angular velocity and applied torque. The reference also records what
 the faulty run restarts from. The cell's activation
-windows come from the primary injector's activation log, with a window that
-starts on the step after the previous one ends merged into it, as the
-injector's trigger line shows them. A bit-flip or small-fault probe reads
+windows are the primary injector's windows, with a window that starts on the
+step after the previous one ends merged into it, as the injector's trigger
+line shows them. A bit-flip or small-fault probe reads
 only the violations and records no column.
 
 Cells are independent jobs with a deterministic seed mapping, so results are
@@ -116,7 +116,7 @@ class RunOutput:
     trace: engine.TraceLog
     violations: tuple[ViolationRecord, ...]
     classification: Classification
-    # injector name -> its (step, steps) activation log, see faults.Injector
+    # injector name -> the (step, steps) windows it opened, see faults.Injector
     activations: dict[str, tuple[tuple[int, int | None], ...]]
 
 
@@ -137,7 +137,7 @@ def simulate(cfg: ScenarioConfig, seed: int | None = None,
     joints = None if reference is None else _faulted_joints(cfg)
     graph = engine.build_graph(cfg, joints)
     trace = engine.run(graph, cfg.clock, seed, None if reference is None else reference.trace)
-    activations = {b.spec.name: tuple(b.activations) for b in graph.blocks
+    activations = {b.spec.name: tuple(b.windows) for b in graph.blocks
                    if isinstance(b, faults.Injector)}
     violations = graph.block("monitor").violations
     if reference is not None:
@@ -174,7 +174,7 @@ class SweepPlan:
         return names
 
     def resolved_primary(self) -> str:
-        """The injector whose activation log defines a cell's windows."""
+        """The injector whose windows are a cell's activation windows."""
         for s in self.scenario.injectors:
             if s.chain_to is not None:
                 return s.name

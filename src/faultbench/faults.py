@@ -219,14 +219,19 @@ class Injector(Block):
     ``windows`` holds one ``(step, steps)`` entry per window drawn for the
     run: its first step and its length in steps, ``None`` when it lasts to
     the end of the run. A zero-length window is no activation and has no
-    entry. ``activations`` logs the windows the run has opened so far.
+    entry. A run that completes opens every window in it; one that
+    diverges opens those that start before it fails.
+
+    ``bind`` starts a run: it takes the step size and the run length from
+    the run's clock and empties the schedule; ``schedule`` then draws it.
     """
 
-    def __init__(self, spec: FaultSpec, dt: float, in_signal: str,
+    def __init__(self, spec: FaultSpec, in_signal: str,
                  trigger_sources: tuple[str, ...] = ()):
         self.spec = spec
-        self.dt = dt
         self.name = f"inj.{spec.name}"
+        # bench/child.py's tracer reads this until the benchmark counts from
+        # what the package returns (ROADMAP item 1(a))
         self.enabled = spec.enabled
         self.in_signal = in_signal
         self.trigger_sources = tuple(trigger_sources)
@@ -235,7 +240,6 @@ class Injector(Block):
         self.inputs = (in_signal,) + self.trigger_sources
         self.emit_output_names = (self.out_signal, self.trigger_signal)
         ft = spec.fault_type
-        self._delay_steps = round(ft.delay / dt) if isinstance(ft, TimeDelay) else 0
         if isinstance(ft, BitFlip) and ft.bit_positions != "random":
             self._fixed_mask = mask_from_positions(ft.bit_positions)
         else:
@@ -255,34 +259,21 @@ class Injector(Block):
         if type(ft) not in appliers:
             raise TypeError(f"unknown fault type: {ft!r}")
         self._apply = appliers[type(ft)]
-        self.reset()
-
-    def reset(self) -> None:
-        self._held = 0.0
-        self._active_until = 0
-        self._next_start = math.inf
-        # no run has more steps than a deque can hold
-        self._dbuf: deque[float] | None = (
-            deque(maxlen=min(self._delay_steps, sys.maxsize)) if self._delay_steps > 0 else None
-        )
-        self.windows: list[tuple[int, int | None]] = []
-        self.activations = []
-        self._draws: list = []  # per window: a bit mask, or noise's uniform per step
 
     # -- the schedule ---------------------------------------------------------
 
-    def schedule(self, rng, n_steps: int, triggers=()) -> None:
-        """Draw the windows of an ``n_steps`` run from ``rng`` after
-        ``reset``, with the upstream ``triggers`` windows as trigger line.
+    def schedule(self, rng, triggers=()) -> None:
+        """Draw the windows of the run that ``bind`` started from ``rng``,
+        with the upstream ``triggers`` windows as trigger line.
 
         The draws are a stepped run's, in its order: an armed step without a
         trigger draws its ``p`` or, first after arming, its activation time;
         an activation draws its exposure, bit positions, then one uniform
         per step of its window in the run.
         """
+        dt, n_steps = self._dt, self._n_steps
         spans = sorted((start, n_steps if steps is None else start + steps)
                        for start, steps in triggers)  # [start, end) with a trigger
-        dt = self.dt
         k = 0 if self.enabled else n_steps  # the first armed step
         threshold = None  # a scheduled event fires once k * dt >= threshold
         while k < n_steps:
@@ -379,15 +370,31 @@ class Injector(Block):
         self._read = slots[self.in_signal]
         self._out_slot = slots[self.out_signal]
         self._trigger_slot = slots[self.trigger_signal]
+        self._dt, self._n_steps = clock.dt_s, clock.n_steps
+        ft = self.spec.fault_type
+        self._delay_steps = round(ft.delay / self._dt) if isinstance(ft, TimeDelay) else 0
+        # a delay longer than the run never replays, so the buffer holds at
+        # most the run's steps
+        self._dbuf: deque[float] | None = (
+            deque(maxlen=min(self._delay_steps, self._n_steps)) if self._delay_steps > 0 else None
+        )
+        self._held = 0.0
+        self._active_until = 0
+        self._next_start = math.inf
+        self._opened = 0  # windows opened so far
+        self.windows: list[tuple[int, int | None]] = []
+        self._draws: list = []  # per window: a bit mask, or noise's uniform per step
 
+    # bench/child.py's tracer reads the returned trigger until the benchmark
+    # counts from what the package returns (ROADMAP item 1(a))
     def emit(self, k: int, values: list) -> dict[str, float]:
         x = y = values[self._read]
         active = k < self._active_until or k == self._next_start
         if active:
             if k >= self._active_until:  # the next window opens
-                i = len(self.activations)
-                self._start, steps = window = self.windows[i]
-                self.activations.append(window)
+                i = self._opened
+                self._opened = i + 1
+                self._start, steps = self.windows[i]
                 self._active_until = math.inf if steps is None else k + steps
                 self._next_start = self.windows[i + 1][0] if i + 1 < len(self.windows) else math.inf
                 if k == 0:

@@ -186,17 +186,14 @@ class PlantBlock(Block):
         self._applied = tuple(read(f"plant.{j}.torque") for j in jn)
         self._feedthrough = tuple(sig for row in self._control_signals for sig in row[:5])
         self.inputs = self._feedthrough + self._applied
-        self.reset()
 
     @property
     def feedthrough_inputs(self) -> tuple[str, ...]:
         return self._feedthrough
 
-    def reset(self) -> None:
+    def bind(self, slots: dict[str, int], clock) -> None:
         self.thetas = list(self.theta0)
         self.omegas = [0.0] * len(self.joints)
-
-    def bind(self, slots: dict[str, int], clock) -> None:
         self._dt = clock.dt_s
         written = slot_range(slots, self.state_output_names)
         self._thetas_written = slice(written.start, written.stop, 2)
@@ -262,12 +259,9 @@ class MonitorBlock(Block):
         self.inputs = tuple(f"plant.{p.name}.{field}" for field in ("pos", "vel", "torque_cmd")
                             for p in joints) + tuple((reads or {}).get(sig, sig) for sig in applied)
         self.emit_output_names = ("monitor.violations",)
-        self.reset()
-
-    def reset(self) -> None:
-        self.violations: list[ViolationRecord] = []
 
     def bind(self, slots: dict[str, int], clock) -> None:
+        self.violations: list[ViolationRecord] = []
         self._dt = clock.dt_s
         n = len(self.joints)
         read = [slots[sig] for sig in self.inputs]

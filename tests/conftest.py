@@ -59,14 +59,15 @@ def emit_named(block, k, signals, dt=1e-3):
     return {name: values[slots[name]] for name in block.emit_output_names}
 
 
-def drive_injector(inj, inputs, rng, triggers=None):
-    """Reset ``inj`` and schedule it from ``rng`` for a run of
-    ``len(inputs)`` steps, with ``triggers`` (one bool per step, none true
-    by default) as its trigger line, then emit it on each input in turn;
+def drive_injector(inj, inputs, rng, triggers=None, dt=1e-3):
+    """Bind ``inj`` to a ``dt`` clock of ``len(inputs)`` steps and schedule
+    it from ``rng``, with ``triggers`` (one bool per step, none true by
+    default) as its trigger line, then emit it on each input in turn;
     returns its outputs and its trigger outputs as bools."""
-    inj.reset()
-    inj.schedule(rng, len(inputs), [(k, 1) for k, on in enumerate(triggers or ()) if on])
-    slots, values = bind_alone(inj, (inj.in_signal,))
+    clock = ClockConfig(dt_s=dt, t_end_s=len(inputs) * dt)
+    assert clock.n_steps == len(inputs)
+    slots, values = bind_alone(inj, (inj.in_signal,), clock)
+    inj.schedule(rng, [(k, 1) for k, on in enumerate(triggers or ()) if on])
     outs, trigs = [], []
     for k, x in enumerate(inputs):
         values[slots[inj.in_signal]] = float(x)

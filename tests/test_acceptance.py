@@ -60,9 +60,9 @@ def test_criterion_1_fault_model_invariants():
         dt = 1e-3
 
         def drive(spec, xs, triggers=None, seed=1):
-            inj = faults.Injector(spec, dt, in_signal="s")
+            inj = faults.Injector(spec, in_signal="s")
             outs, trigs = drive_injector(inj, xs, np.random.default_rng(seed),
-                                         None if triggers is None else triggers.tolist())
+                                         None if triggers is None else triggers.tolist(), dt)
             return np.array(outs), np.array(trigs)
 
         def spec(ft, event=None, effect=None, enabled=True):
@@ -154,7 +154,7 @@ def test_criterion_2_stochastic_soundness():
             name="s", target_signal="sig", fault_type=faults.StuckAt(),
             event=faults.FailureProbability(p=p),
             effect=faults.ConstantTime(duration=1e-3))
-        inj = faults.Injector(spec, 1e-3, in_signal="sig")
+        inj = faults.Injector(spec, in_signal="sig")
         rng = np.random.default_rng(99)
         n_steps = 2_000_000
         activations = sum(drive_injector(inj, [1.0] * n_steps, rng)[1])

@@ -43,7 +43,7 @@ def forcing(params, s):
     denom = float(psi.sum())
     if denom < 1e-300:
         return 0.0
-    return float(psi @ params.weights) / denom * s * (params.g - params.y0)
+    return float(psi.dot(params.weights)) / denom * s * (params.g - params.y0)
 
 
 def dmp_step(params, state, s, dt):
@@ -245,7 +245,6 @@ def test_joints_share_phase():
     p = learn_weights(t, demo, dmp.make_params(tau=1.0, g=0.0))
     block = dmp.DmpSystemBlock("dmp", ["left_knee", "right_knee"],
                                dmp.TargetTable([p, p], 1e-3, 500))
-    block.reset()
     slots, values = bind_alone(block, clock=ClockConfig(dt_s=1e-3, t_end_s=0.5))
     for k in range(500):
         block.state_outputs(k, values)
@@ -317,7 +316,7 @@ def test_rollout_matches_stepped_block_on_shipped_gait(case_study_cfg):
     table = dmp.rollout(params, clock.dt_s, clock.n_steps)
     assert table.shape == (7000, 3 * len(params))
     assert not table.flags.writeable
-    assert np.array_equal(table, stepped_block_targets(params, clock.dt_s, clock.n_steps))
+    assert table.tobytes() == stepped_block_targets(params, clock.dt_s, clock.n_steps).tobytes()
 
 
 @pytest.mark.parametrize("n_steps", [0, 1, 255, 256, 257, 1000])
@@ -328,21 +327,25 @@ def test_rollout_matches_stepped_block_across_chunks(n_steps):
               for demo in demos]
     table = dmp.rollout(params, 1e-3, n_steps)
     assert table.shape == (n_steps, 9)
-    assert np.array_equal(table, stepped_block_targets(params, 1e-3, n_steps))
+    assert table.tobytes() == stepped_block_targets(params, 1e-3, n_steps).tobytes()
 
 
 def test_rollout_matches_stepped_block_on_edge_bases():
     from dataclasses import replace
     single = dmp.make_params(tau=0.5, g=1.0, y0=0.2, n_basis=1, weights=np.array([30.0]))
-    assert np.array_equal(dmp.rollout([single], 1e-3, 700),
-                          stepped_block_targets([single], 1e-3, 700))
+    assert dmp.rollout([single], 1e-3, 700).tobytes() == \
+        stepped_block_targets([single], 1e-3, 700).tobytes()
+    # a one-element basis whose forcing is a signed zero: tobytes tells -0.0 from +0.0
+    zero = dmp.make_params(tau=1.0, g=-0.0, y0=0.0, n_basis=1, weights=np.array([-0.0]))
+    assert dmp.rollout([zero], 1e-3, 300).tobytes() == \
+        stepped_block_targets([zero], 1e-3, 300).tobytes()
     # kernels so sharp that every activation underflows away from the centers:
     # the forcing term is zero there
     sharp = dmp.make_params(tau=1.0, g=1.0, weights=np.full(50, 100.0))
     sharp = replace(sharp, widths=sharp.widths * 1e6)
     table = dmp.rollout([sharp, replace(sharp, g=-1.0)], 1e-3, 1000)
-    assert np.array_equal(table, stepped_block_targets([sharp, replace(sharp, g=-1.0)],
-                                                       1e-3, 1000))
+    assert table.tobytes() == stepped_block_targets([sharp, replace(sharp, g=-1.0)],
+                                                    1e-3, 1000).tobytes()
 
 
 def test_rollout_keeps_the_sign_of_a_one_basis_zero_forcing():

@@ -195,7 +195,7 @@ def test_a_block_without_restart_refuses_a_later_start():
     def bias(event):
         spec = faults.FaultSpec(name="bias", target_signal="src.x", fault_type=faults.Bias(1.0),
                                 event=event, effect=faults.Once())
-        return faults.Injector(spec, clock.dt_s, "src.x")
+        return faults.Injector(spec, "src.x")
     # the injector's first window opens on step 1
     graph = engine.BlockGraph([src, bias(faults.MeanTimeToFailure(0.1))])
     with pytest.raises(NotImplementedError, match="'src' cannot start a run at step 1"):
@@ -359,12 +359,9 @@ class Recorder(Block):
         self.name = "recorder"
         self.inputs = tuple(signals)
         self.emit_output_names = ("recorder.rows",)
-        self.reset()
-
-    def reset(self):
-        self.rows = []
 
     def bind(self, slots, clock):
+        self.rows = []
         self.read = [slots[name] for name in self.inputs]
         self.written = slots["recorder.rows"]
 
@@ -401,6 +398,27 @@ def test_blocks_look_up_their_slots_on_every_run(case_study_cfg):
     first = engine.run(graph, cfg.clock, 3)
     assert np.array_equal(engine.run(reversed_graph, cfg.clock, 3).data, first.data)
     assert np.array_equal(engine.run(graph, cfg.clock, 3).data, first.data)
+
+
+def test_a_run_of_a_graph_keeps_nothing_of_its_last_run():
+    """``bind`` alone starts a run: the monitor's records, the injectors'
+    windows and the plant's state must not carry over into the next run."""
+    lag = faults.FaultSpec(name="lag", target_signal="plant.right_knee.vel",
+                           fault_type=faults.TimeDelay(0.1),
+                           event=faults.FailureProbability(0.004),
+                           effect=faults.ConstantTime(0.4))
+    cfg = make_scenario(injectors=[stuck_spec(p=0.004, duration=0.4), lag], t_end=1.5)
+
+    def outcome(graph, seed):
+        trace = engine.run(graph, cfg.clock, seed)
+        return (trace.data.tobytes(), list(graph.block("monitor").violations),
+                [list(b.windows) for b in graph.blocks if isinstance(b, faults.Injector)])
+    fresh = {seed: outcome(engine.build_graph(cfg), seed) for seed in (0, 1)}
+    assert fresh[1][1] and not fresh[0][1]  # seed 1 violates a limit, seed 0 does not
+    assert all(fresh[1][2]) and fresh[0][2] != fresh[1][2]
+    graph = engine.build_graph(cfg)
+    for seed in (1, 1, 0, 1):
+        assert outcome(graph, seed) == fresh[seed]
 
 
 def test_chaining_synchrony(case_study_cfg):

@@ -738,9 +738,14 @@ def test_the_golden_run_violates_on_a_faulted_joint_before_the_restart():
 def test_a_run_logs_every_window_its_injectors_draw(case_study_cfg, seed):
     cfg = replace(case_study_cfg, clock=ClockConfig(dt_s=1e-3, t_end_s=2.0))
     graph = engine.build_graph(cfg, ("right_knee",))
-    engine.run(graph, cfg.clock, seed)
     injectors = [b for b in graph.blocks if isinstance(b, faults.Injector)]
-    assert [b.activations for b in injectors] == [b.windows for b in injectors]
+    triggers = engine.BlockGraph(graph.blocks, tuple(b.trigger_signal for b in injectors))
+    trace = engine.run(triggers, cfg.clock, seed)
+    for b in injectors:  # each trigger line is on in exactly the windows drawn
+        on = np.zeros(cfg.clock.n_steps)
+        for start, steps in b.windows:
+            on[start:None if steps is None else start + steps] = 1.0
+        assert np.array_equal(trace.signal(b.trigger_signal), on), b.name
     # a window of no steps logs nothing and starts no restart: no step runs
     empty = with_injector_durations(cfg, ("knee_pos_stuck", "knee_vel_freeze"), 0.0)
     assert ex.simulate(empty, seed=seed).activations == {"knee_pos_stuck": (),

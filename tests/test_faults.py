@@ -13,13 +13,14 @@ from hypothesis import strategies as st
 
 from faultbench import engine, faults
 from faultbench.plant import JOINT_NAMES
+from faultbench.scenario import ClockConfig
 
 from conftest import bind_alone, drive_injector, make_scenario
 
 DT = 1e-3
 
 
-def make_injector(fault_type, event=None, effect=None, enabled=True, dt=DT):
+def make_injector(fault_type, event=None, effect=None, enabled=True):
     spec = faults.FaultSpec(
         name="x",
         target_signal="sig",
@@ -28,7 +29,7 @@ def make_injector(fault_type, event=None, effect=None, enabled=True, dt=DT):
         effect=effect or faults.InfiniteTime(),
         enabled=enabled,
     )
-    return faults.Injector(spec, dt, in_signal="sig")
+    return faults.Injector(spec, in_signal="sig")
 
 
 def drive(inj, inputs, triggers=None, seed=1):
@@ -167,7 +168,7 @@ def test_identity_when_disabled(xs, seed, triggered):
     outs, trigs = drive(inj, xs, triggers=[triggered] * len(xs), seed=seed)
     assert outs == [float(x) for x in xs]
     assert not any(trigs)
-    assert inj.activations == []
+    assert inj.windows == []
 
 
 @given(xs=st.lists(st.floats(-1e9, 1e9), min_size=1, max_size=50))
@@ -185,9 +186,9 @@ def test_identity_between_exposures():
     outs, trigs = drive(inj, inputs, triggers)
     assert outs == [1.0, 11.0, 11.0, 1.0, 1.0, 11.0, 11.0, 1.0, 1.0]
     assert trigs == [False, True, True, False, False, True, True, False, False]
-    assert inj.activations == [(1, 2), (5, 2)]  # (first step, length in steps)
-    inj.reset()
-    assert inj.activations == []
+    assert inj.windows == [(1, 2), (5, 2)]  # (first step, length in steps)
+    bind_alone(inj, ("sig",))  # a new run drops the old run's schedule
+    assert inj.windows == []
 
 
 # --------------------------------------------------------------------------
@@ -220,7 +221,7 @@ def test_once_single_sample_never_rearms():
         assert outs[0] == 1.0
         assert outs[1:] == [0.0] * 9
         assert trigs == [True] + [False] * 9
-        assert inj.activations == [(0, 1)]
+        assert inj.windows == [(0, 1)]
 
 
 def test_infinite_time_until_end():
@@ -229,7 +230,7 @@ def test_infinite_time_until_end():
     assert outs[0] == 0.0
     assert outs[1:] == [1.0] * 19
     assert all(trigs[1:])
-    assert inj.activations == [(1, None)]
+    assert inj.windows == [(1, None)]
 
 
 def test_rearming_after_constant_time():
@@ -238,7 +239,7 @@ def test_rearming_after_constant_time():
     outs, _ = drive(inj, [0.0] * 9)
     # p = 1: re-activates on the first armed step after each window
     assert outs == [1.0] * 9
-    assert inj.activations == [(0, 3), (3, 3), (6, 3)]
+    assert inj.windows == [(0, 3), (3, 3), (6, 3)]
 
 
 def test_zero_duration_window_is_a_no_op():
@@ -247,7 +248,7 @@ def test_zero_duration_window_is_a_no_op():
     outs, trigs = drive(inj, [5.0] * 10)
     assert outs == [5.0] * 10
     assert not any(trigs)
-    assert inj.activations == []  # an empty window is no activation
+    assert inj.windows == []  # an empty window is no activation
 
 
 # --------------------------------------------------------------------------
@@ -282,7 +283,7 @@ def test_mttf_fires_at_scheduled_step():
                             effect=faults.ConstantTime(2 * DT))
         outs, _ = drive(inj, [0.0] * 12, triggers=triggers)
         assert outs == expected
-        assert inj.activations == log
+        assert inj.windows == log
 
 
 @pytest.mark.parametrize("fault_type,effect,draws_per_armed_step", [
@@ -302,7 +303,7 @@ def test_p_zero_draws_only_where_the_generator_is_read_elsewhere(fault_type, eff
     assert rng.bit_generator.state == drawn.bit_generator.state
     # a trigger still opens a window
     assert drive(inj, [1.0] * 11, triggers=[False] * 10 + [True])[1][10]
-    assert inj.activations and inj.activations[0][0] == 10
+    assert inj.windows and inj.windows[0][0] == 10
 
 
 def test_sample_exposure_values():
@@ -355,7 +356,7 @@ PATH_INJECTORS = [
 ]
 
 # seed -> (sha256 of trace.csv with every signal, or the divergence message;
-# the activation log of each injector)
+# the windows each injector opened)
 PATH_PINS = {
     0: ("5013e19dce6320f01355d7edf809228adab0e8173736b4c83e3529cb98aa7081",
         {"inj.noise": [(453, 62)],
@@ -378,16 +379,19 @@ PATH_PINS = {
 
 def pinned_outcome(injectors, seed):
     """The run of ``injectors`` on the case-study joints for 1.5 s: the
-    sha256 of its trace.csv or its divergence message, and the logs."""
+    sha256 of its trace.csv or its divergence message, and the windows that
+    start at or before its last step run."""
     cfg = make_scenario(joints=JOINT_NAMES, injectors=injectors,
                         demo="demo_gait.csv", t_end=1.5)
     graph = engine.build_graph(cfg)
     try:
         trace = engine.run(graph, cfg.clock, seed)
         outcome = hashlib.sha256(trace.to_csv_str().encode()).hexdigest()
+        last = cfg.clock.n_steps
     except engine.NumericalDivergence as exc:
         outcome = str(exc)
-    return outcome, {b.name: b.activations for b in graph.blocks
+        last = round(exc.t / cfg.clock.dt_s)
+    return outcome, {b.name: [w for w in b.windows if w[0] <= last] for b in graph.blocks
                      if isinstance(b, faults.Injector)}
 
 
@@ -470,17 +474,18 @@ RESTART_CASES = [
 def test_restart_sets_the_state_of_the_steps_it_skips(fault_type, event, effect, enabled):
     inputs = _generator(9).normal(size=400)
     golden = engine.TraceLog(columns=("sig",), t=np.arange(400) * DT, data=inputs[:, None])
+    clock = ClockConfig(dt_s=DT, t_end_s=0.4)
     stepped = make_injector(fault_type, event, effect, enabled)
-    stepped.schedule(_generator(), 400)
+    slots, values = bind_alone(stepped, ("sig",), clock)
+    stepped.schedule(_generator())
     k = min(stepped.windows[0][0] if stepped.windows else 400, 150)
-    slots, values = bind_alone(stepped, ("sig",))
     for i in range(k):
         values[slots["sig"]] = float(inputs[i])
         assert stepped.emit(i, values) == {"inj.x.trigger": 0.0}
         assert values[slots["inj.x.out"]] == inputs[i]
     restarted = make_injector(fault_type, event, effect, enabled)
-    restarted.schedule(_generator(), 400)
-    bind_alone(restarted, ("sig",))
+    assert bind_alone(restarted, ("sig",), clock)[0] == slots
+    restarted.schedule(_generator())
     restarted.restart(k, golden)
 
     def state(inj):
@@ -488,15 +493,13 @@ def test_restart_sets_the_state_of_the_steps_it_skips(fault_type, event, effect,
                 for name, v in vars(inj).items() if name != "_apply"}
     assert 0 < k and state(restarted) == state(stepped)
     outs = []
-    for inj in (restarted, stepped):  # and the steps after it
-        slots, values = bind_alone(inj, ("sig",))
+    for inj in (restarted, stepped):  # and the steps after it, on the first binding
         out = []
         for i in range(k, 400):
             values[slots["sig"]] = float(inputs[i])
             out.append((inj.emit(i, values), values[slots["inj.x.out"]]))
         outs.append(out)
-    assert outs[0] == outs[1]
-    assert restarted.activations == stepped.activations
+    assert outs[0] == outs[1] and state(restarted) == state(stepped)
 
 
 @pytest.mark.parametrize("fault_type,event,effect,enabled", RESTART_CASES)
@@ -505,12 +508,12 @@ def test_the_first_window_is_the_first_activation_of_a_run(fault_type, event, ef
                                                            enabled, seed):
     inj = make_injector(fault_type, event, effect, enabled)
     drive(inj, [1.0] * 400, seed=_generator(seed))
-    assert inj.windows == inj.activations  # a run opens every window drawn for it
     first = inj.windows[0][0] if inj.windows else 400
     # a shorter run draws the windows that start inside it
     for n_steps, windows in ((first + 1, inj.windows[:1]), (first // 2, [])):
         short = make_injector(fault_type, event, effect, enabled)
-        short.schedule(_generator(seed), n_steps)
+        bind_alone(short, ("sig",), ClockConfig(dt_s=DT, t_end_s=n_steps * DT))
+        short.schedule(_generator(seed))
         assert short.windows == windows
 
 
@@ -522,7 +525,7 @@ def test_a_window_of_no_steps_is_not_scheduled():
                            faults.ConstantTime(0.005))
     drive(empty, [1.0] * 400, seed=_generator())
     drive(logged, [1.0] * 400, seed=_generator())
-    assert empty.windows == empty.activations == [] and logged.activations
+    assert empty.windows == [] and logged.windows
 
 
 # --------------------------------------------------------------------------
@@ -675,11 +678,11 @@ def test_the_schedule_steps_as_the_online_state_machine(spec, n_steps, seed, poo
                 for k in range(n_steps)]
     online, rng = OnlineInjector(spec, DT), _generator(seed)
     expected = [online.step(x, k * DT, triggers[k], rng) for k, x in enumerate(inputs)]
-    scheduled, drawn = faults.Injector(spec, DT, in_signal="sig"), _generator(seed)
+    scheduled, drawn = faults.Injector(spec, in_signal="sig"), _generator(seed)
     outs, trigs = drive_injector(scheduled, inputs, drawn, triggers)
     assert [struct.pack("<d", y) for y in outs] == [struct.pack("<d", y) for y, _ in expected]
     assert trigs == [trig for _, trig in expected]
-    assert scheduled.windows == scheduled.activations == online.activations
+    assert scheduled.windows == online.activations
     assert drawn.bit_generator.state == rng.bit_generator.state
 
 

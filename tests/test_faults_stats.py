@@ -43,7 +43,7 @@ def test_failure_probability_rate_chi_square():
         event=faults.FailureProbability(p=p),
         effect=faults.ConstantTime(duration=DT),
     )
-    inj = faults.Injector(spec, DT, in_signal="sig")
+    inj = faults.Injector(spec, in_signal="sig")
     rng = np.random.default_rng(99)
     n_steps = 2_000_000
     activations = sum(drive_injector(inj, [1.0] * n_steps, rng)[1])
@@ -71,7 +71,7 @@ def test_expected_activation_count_per_run():
     n_runs, n_steps = 400, 7000
     counts = np.empty(n_runs)
     for r in range(n_runs):
-        inj = faults.Injector(spec, DT, in_signal="sig")
+        inj = faults.Injector(spec, in_signal="sig")
         rng = np.random.default_rng(np.random.SeedSequence([123, r]))
         counts[r] = sum(drive_injector(inj, [0.0] * n_steps, rng)[1])
     # Binomial mean 3.5, sd of the sample mean ~ 1.87 / sqrt(400) = 0.094
@@ -86,7 +86,7 @@ def test_bit_choice_without_replacement():
         event=faults.FailureProbability(p=1.0),
         effect=faults.Once(),
     )
-    inj = faults.Injector(spec, DT, in_signal="sig")
-    inj.schedule(rng, 1)
+    inj = faults.Injector(spec, in_signal="sig")
+    drive_injector(inj, [1.0], rng)
     # all 64 distinct bits flipped: the full complement mask
     assert inj._draws == [2**64 - 1]

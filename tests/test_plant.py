@@ -276,7 +276,7 @@ def test_plant_block_matches_reference_kernels_bit_for_bit():
     limits = np.array([p.max_torque for p in joints])
     assert (np.abs(demands) > limits).any(axis=0).all()  # every joint saturated
 
-    block.reset()  # a second run starts from theta0 again
+    # a second run starts from theta0 again
     assert np.array_equal(step_plant_block(block, targets, dt), want)
 
 
@@ -339,8 +339,8 @@ def test_monitor_block_records_what_monitor_returns():
         records = plant.monitor(joints, thetas, omegas, demands, t)
         assert emit_named(block, k, signals, dt=0.25) == \
             {"monitor.violations": float(len(records))}
+        assert block.violations == records  # emit_named binds: a run of its own
         expected.extend(records)
-    assert block.violations == expected
     kinds = {(r.joint, r.kind) for r in expected}
     assert len(kinds) == 3 * len(joints)  # every kind on every joint
 
@@ -348,15 +348,13 @@ def test_monitor_block_records_what_monitor_returns():
 def test_one_joint_monitor_block():
     p = plant.default_joint_params("right_knee")
     block = plant.MonitorBlock("monitor", [p])
-    expected = []
     for k, (theta, omega, tau) in enumerate(monitor_cases(p)):
         signals = {"plant.right_knee.pos": theta, "plant.right_knee.vel": omega,
                    "plant.right_knee.torque_cmd": tau, "plant.right_knee.torque": clamped(p, tau)}
         records = plant.monitor([p], [theta], [omega], [tau], float(k))
         assert emit_named(block, k, signals, dt=1.0) == \
             {"monitor.violations": float(len(records))}
-        expected.extend(records)
-    assert block.violations == expected
+        assert block.violations == records  # emit_named binds: a run of its own
     # at the limits and NaN inputs: nothing; past one limit: one record each
     assert [len(plant.monitor([p], [th], [om], [tau], 0.0)) for th, om, tau in monitor_cases(p)] \
         == [0, 0, 0, 0, 1, 1, 1, 1, 1, 1, 3, 0, 0, 0, 0]
@@ -371,7 +369,6 @@ def test_monitor_block_checks_the_applied_torque_it_reads():
     for demand, applied, recorded in [(0.0, 0.0, None), (0.5 * m, m, None),
                                       (0.5 * m, 2.0 * m, 2.0 * m), (-0.5 * m, -2.0 * m, -2.0 * m),
                                       (1.5 * m, 3.0 * m, 1.5 * m), (1.5 * m, 0.0, 1.5 * m)]:
-        block.reset()
         emit_named(block, 0, {"plant.right_knee.pos": -0.5, "plant.right_knee.vel": 0.0,
                               "plant.right_knee.torque_cmd": demand, "inj.t.out": applied})
         assert [(r.kind, r.value) for r in block.violations] == \
