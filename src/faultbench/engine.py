@@ -22,6 +22,7 @@ import hashlib
 import io
 import math
 import operator
+import struct
 from dataclasses import dataclass
 
 import numpy as np
@@ -68,8 +69,9 @@ class NumericalDivergence(Exception):
                                       self.cell))
 
 
-# rows formatted per trace.csv write, and rows a run copies into its trace at once
-TRACE_CSV_CHUNK = 256
+# rows formatted per trace.csv write: the rows' Python floats and strings are
+# all the writer holds besides the trace, a few tens of KB at 47 columns
+TRACE_CSV_CHUNK = 32
 
 
 def _opened(path_or_file):
@@ -102,8 +104,8 @@ class TraceLog:
             row_format = ",".join(["%.9g"] * (1 + len(self.columns))) + "\n"
             for start in range(0, len(self.t), TRACE_CSV_CHUNK):
                 stop = start + TRACE_CSV_CHUNK
-                rows = np.column_stack((self.t[start:stop], self.data[start:stop])).tolist()
-                fh.write("".join([row_format % tuple(row) for row in rows]))
+                fh.write("".join([row_format % (t, *row) for t, row in zip(
+                    self.t[start:stop].tolist(), self.data[start:stop].tolist())]))
 
     def to_csv_str(self) -> str:
         buf = io.StringIO()
@@ -197,12 +199,16 @@ def run(graph: BlockGraph, clock: ClockConfig, seed: int,
     columns = graph.monitored
     data = np.empty((steps, len(columns)))
     t_arr = np.arange(steps) * dt
-    # a row is a tuple of the monitored values for several columns and the
-    # value alone for one, so one column fills its 1-D view
-    monitored_values = (operator.itemgetter(*(graph.slots[c] for c in columns))
-                        if columns else None)
-    rows_into = data[:, 0] if len(columns) == 1 else data
-    rows: list = []
+    # each step packs its monitored values into its row of ``data`` in place
+    slots = [graph.slots[c] for c in columns]
+    if len(slots) > 1:
+        monitored_values = operator.itemgetter(*slots)
+    elif slots:  # a one-element slice, so that one value is a sequence too
+        monitored_values = operator.itemgetter(slice(slots[0], slots[0] + 1))
+    else:
+        monitored_values = None
+    pack_row = struct.Struct(f"{len(columns)}d").pack_into
+    row_bytes = data.itemsize * len(columns)
 
     for b in graph.blocks:
         b.bind(graph.slots, clock)
@@ -234,14 +240,9 @@ def run(graph: BlockGraph, clock: ClockConfig, seed: int,
         if not isfinite(sum(values)):
             _check_finite(graph, values, k * dt)
         if monitored_values is not None:
-            rows.append(monitored_values(values))
-            if len(rows) == TRACE_CSV_CHUNK:
-                rows_into[k + 1 - TRACE_CSV_CHUNK:k + 1] = rows
-                rows.clear()
+            pack_row(data, k * row_bytes, *monitored_values(values))
         for advance in advancers:
             advance(k, values)
-    if rows:
-        rows_into[steps - len(rows):] = rows
     return TraceLog(columns=columns, t=t_arr, data=data)
 
 

@@ -487,7 +487,8 @@ def per_value_csv(trace):
     return "\n".join(lines) + "\n"
 
 
-@pytest.mark.parametrize("n_rows", [0, 1, 255, 256, 257])
+@pytest.mark.parametrize("n_rows", [0, 1, engine.TRACE_CSV_CHUNK - 1, engine.TRACE_CSV_CHUNK,
+                                    engine.TRACE_CSV_CHUNK + 1, 3 * engine.TRACE_CSV_CHUNK + 5])
 @pytest.mark.parametrize("n_columns", [0, 1, 7])
 def test_trace_csv_bytes_match_per_value_formatting(n_rows, n_columns):
     specials = [math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e308, -1e308, 0.1, 1 / 3]
@@ -511,14 +512,37 @@ def test_zero_column_trace_round_trip():
     assert back.data.shape == (3, 0)
 
 
-@pytest.mark.parametrize("monitored", [(), ("plant.right_knee.vel",)])
-def test_monitored_columns_match_the_full_trace(monitored):
-    _, full = run_cfg(make_scenario(t_end=0.05))
-    _, trace = run_cfg(make_scenario(monitored=monitored, t_end=0.05))
+@pytest.mark.parametrize("n_steps", [0, 1, 255, 256, 257])
+@pytest.mark.parametrize("monitored", [(), ("plant.right_knee.vel",),
+                                       ("plant.right_knee.torque", "dmp.right_knee.pos")])
+def test_monitored_columns_match_the_full_trace(monitored, n_steps):
+    _, full = run_cfg(make_scenario(t_end=n_steps * 1e-3))
+    _, trace = run_cfg(make_scenario(monitored=monitored, t_end=n_steps * 1e-3))
     assert trace.columns == monitored
-    assert trace.data.shape == (50, len(monitored))
+    assert trace.data.shape == (n_steps, len(monitored))
     for name in monitored:
-        assert np.array_equal(trace.signal(name), full.signal(name))
+        assert full.signal(name).tobytes() == trace.signal(name).tobytes(), name
+
+
+def test_trace_csv_writer_holds_no_copy_of_the_trace(tmp_path):
+    """Writing a 7000-step, 47-column trace to a file holds the Python
+    objects of a few rows at a time, not a copy of a large share of the
+    trace (2.6 MB), and still writes every row."""
+    import tracemalloc
+    n_steps, n_columns = 7000, 47
+    rng = np.random.default_rng(5)
+    trace = engine.TraceLog(columns=tuple(f"s{i}" for i in range(n_columns)),
+                            t=np.arange(n_steps) * 1e-3,
+                            data=rng.normal(0.0, 1.0, size=(n_steps, n_columns)))
+    trace.to_csv(tmp_path / "warm.csv")  # the file machinery's one-time allocations
+    tracemalloc.start()
+    try:
+        trace.to_csv(tmp_path / "trace.csv")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 200_000, peak
+    assert (tmp_path / "trace.csv").read_text() == per_value_csv(trace)
 
 
 def test_empty_trace_round_trip():
