@@ -224,16 +224,22 @@ def rollout(params: list[DmpParams], dt: float, n_steps: int) -> np.ndarray:
         for j, p in enumerate(params):
             alpha_z, beta_z, g = p.alpha_z, p.beta_z, p.g
             y, z = states[j]
-            rows = []
+            ys, yds, ydds = [], [], []
             for f in forcing[:, j].tolist():
                 zdot = (alpha_z * (beta_z * (g - y) - z) + f) / tau
                 yd = z / tau
                 ydd = zdot / tau
-                rows.append((y, yd, ydd))
+                ys.append(y)
+                yds.append(yd)
+                ydds.append(ydd)
                 y = y + yd * dt
                 z = z + (ydd * tau) * dt
             states[j] = (y, z)
-            table[start:stop, 3 * j:3 * j + 3] = rows
+            # one flat list per column: a list of row tuples takes numpy's
+            # slower nested-sequence conversion
+            table[start:stop, 3 * j] = ys
+            table[start:stop, 3 * j + 1] = yds
+            table[start:stop, 3 * j + 2] = ydds
     table.flags.writeable = False
     return table
 
@@ -286,11 +292,7 @@ class DmpSystemBlock(Block):
         self.name = name
         self.joint_names = list(joint_names)
         self.targets = targets
-        columns = [3 * i + field for i in indices for field in range(3)]
-        start = columns[0] if columns else 0
-        # contiguous columns are read through a view of each chunk, not a copy
-        self._columns = (slice(start, start + len(columns))
-                         if columns == list(range(start, start + len(columns))) else columns)
+        self._columns = [3 * i + field for i in indices for field in range(3)]
         self.state_output_names = tuple(
             f"dmp.{j}.{field}" for j in joint_names for field in ("pos", "vel", "acc")
         )

@@ -143,7 +143,7 @@ def simulate(cfg: ScenarioConfig, seed: int | None = None,
     if reference is not None:
         t_start = cfg.clock.dt_s * min((log[0][0] for log in activations.values() if log),
                                        default=cfg.clock.n_steps)
-        # plant.monitor's order: by step, then by joint declaration order,
+        # MonitorBlock's order: by step, then by joint declaration order,
         # each joint's records in the order they were made
         order = {j: i for i, j in enumerate(cfg.joint_names)}
         violations = sorted(violations + [v for v in reference.violations

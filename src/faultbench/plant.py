@@ -113,32 +113,6 @@ def joint_power(torque_nm: float, speed_rpm: float) -> float:
 
 
 # --------------------------------------------------------------------------
-# safety checks
-
-
-def monitor(joints: list[JointParams], thetas, omegas, tau_demands,
-            t: float) -> list[ViolationRecord]:
-    """Check one step against the safety limits.
-
-    ``tau_demands`` are the torques checked against the rating: the
-    unsaturated demand where it exceeds it, else the applied torque, which
-    only a fault on it can push past it.
-    """
-    records = []
-    for p, theta, omega, tau in zip(joints, thetas, omegas, tau_demands):
-        if abs(tau) <= p.max_torque and abs(omega) <= p.max_speed \
-                and p.rot_min <= theta <= p.rot_max:
-            continue
-        if abs(tau) > p.max_torque:
-            records.append(ViolationRecord(t, p.name, ViolationKind.TORQUE_ERROR, tau))
-        if abs(omega) > p.max_speed:
-            records.append(ViolationRecord(t, p.name, ViolationKind.SPEED_ERROR, omega))
-        if theta < p.rot_min or theta > p.rot_max:
-            records.append(ViolationRecord(t, p.name, ViolationKind.ANGLE_FAILURE, theta))
-    return records
-
-
-# --------------------------------------------------------------------------
 # engine blocks
 
 
@@ -240,15 +214,22 @@ class PlantBlock(Block):
 
 
 class MonitorBlock(Block):
-    """Safety monitor over the true joint states and torques.
+    """Safety monitor over the true joint states and torques: the one place
+    that compares a joint with its limits.
 
     Reads the raw angles, velocities and demands: a fault on a sensor path
     changes what the controller sees, not what physically happened, and the
     safety verdict is about the physical state. The applied torque is read
-    through ``reads``, as ``PlantBlock`` reads it. A step on which every
-    joint passes ``monitor``'s own skip test is checked here without calling
-    it; any other step goes through ``monitor``, which makes every record.
-    A record of step ``k`` has ``t = k * dt``, the trace's ``t`` of its step.
+    through ``reads``, as ``PlantBlock`` reads it. The torque checked against
+    the rating is the unsaturated demand where it exceeds it, else the
+    applied torque, which only a fault on it can push past it. Limits are
+    inclusive, and a NaN exceeds none.
+
+    Each joint past a limit gets its records in the order TorqueError,
+    SpeedError, AngleFailure, and the joints come in declaration order. A
+    record of step ``k`` has ``t = k * dt``, the trace's ``t`` of its step,
+    and ``monitor.violations`` is the step's number of records. A step on
+    which every joint is within all its limits makes no record.
     """
 
     def __init__(self, name: str, joints: list[JointParams],
@@ -264,27 +245,38 @@ class MonitorBlock(Block):
         self.violations: list[ViolationRecord] = []
         self._dt = clock.dt_s
         n = len(self.joints)
-        read = [slots[sig] for sig in self.inputs]
-        self._read = tuple(read[i * n:(i + 1) * n] for i in range(4))  # pos, vel, demand, applied
+        read = [slots[sig] for sig in self.inputs]  # pos, vel, demand, applied: n of each
         self._checks = tuple(
-            (pos, vel, demand, applied, p.max_torque, p.max_speed, p.rot_min, p.rot_max)
-            for p, pos, vel, demand, applied in zip(self.joints, *self._read))
+            (p.name, pos, vel, demand, applied, p.max_torque, p.max_speed, p.rot_min, p.rot_max)
+            for p, pos, vel, demand, applied
+            in zip(self.joints, *(read[i * n:(i + 1) * n] for i in range(4))))
         self._written = slots[self.emit_output_names[0]]
 
     def restart(self, k: int, golden) -> None:
         """``experiments.simulate`` adds the golden run's records."""
 
     def emit(self, k: int, values: list) -> None:
-        for pos, vel, demand, applied, max_torque, max_speed, rot_min, rot_max in self._checks:
+        for _, pos, vel, demand, applied, max_torque, max_speed, rot_min, rot_max in self._checks:
             if not (abs(values[demand]) <= max_torque and abs(values[applied]) <= max_torque
                     and abs(values[vel]) <= max_speed and rot_min <= values[pos] <= rot_max):
                 break
         else:
             values[self._written] = 0.0
             return
-        thetas, omegas, demands, taus = ([values[i] for i in read] for read in self._read)
-        torques = [demand if abs(demand) > p.max_torque else tau
-                   for p, demand, tau in zip(self.joints, demands, taus)]
-        records = monitor(self.joints, thetas, omegas, torques, k * self._dt)
-        self.violations.extend(records)
-        values[self._written] = float(len(records))
+        records = self.violations
+        before = len(records)
+        t = k * self._dt
+        for joint, pos, vel, demand, applied, max_torque, max_speed, rot_min, rot_max \
+                in self._checks:
+            torque = values[demand]
+            if not abs(torque) > max_torque:
+                torque = values[applied]
+            if abs(torque) > max_torque:
+                records.append(ViolationRecord(t, joint, ViolationKind.TORQUE_ERROR, torque))
+            omega = values[vel]
+            if abs(omega) > max_speed:
+                records.append(ViolationRecord(t, joint, ViolationKind.SPEED_ERROR, omega))
+            theta = values[pos]
+            if theta < rot_min or theta > rot_max:
+                records.append(ViolationRecord(t, joint, ViolationKind.ANGLE_FAILURE, theta))
+        values[self._written] = float(len(records) - before)

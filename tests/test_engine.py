@@ -8,7 +8,7 @@ import pytest
 
 from faultbench import dmp, engine, faults, plant
 from faultbench.blocks import Block, slot_range
-from faultbench.scenario import ClockConfig
+from faultbench.scenario import ClockConfig, MonitorConfig
 
 from conftest import make_scenario, read_trace_csv, stuck_spec
 
@@ -350,6 +350,22 @@ def test_dmp_block_leads_and_publishes_once_per_step(case_study_cfg):
     assert np.array_equal(trace.signal("dmp.right_knee.pos"),
                           block.targets.rows[:, 3 * cfg.joint_names.index("right_knee")])
 
+
+
+def test_a_cut_graph_reads_the_dmp_columns_of_its_joints(case_study_cfg):
+    """Two joints that are not neighbours in the table read the columns of
+    the full graph's run, bit for bit, across a chunk of table rows."""
+    from dataclasses import replace
+    joints = ("left_hip", "right_knee")
+    first, second = (case_study_cfg.joint_names.index(j) for j in joints)
+    assert second - first > 1
+    columns = tuple(f"dmp.{j}.{field}" for j in joints for field in ("pos", "vel", "acc"))
+    cfg = replace(case_study_cfg, clock=ClockConfig(dt_s=1e-3, t_end_s=0.3), injectors=(),
+                  monitors=MonitorConfig(signals=columns))
+    full = engine.run(engine.build_graph(cfg), cfg.clock, 0)
+    cut = engine.run(engine.build_graph(cfg, joints), cfg.clock, 0)
+    for column in columns:
+        assert full.signal(column).tobytes() == cut.signal(column).tobytes(), column
 
 class Recorder(Block):
     """Copies the values of ``signals`` in its emit, after every block it

@@ -152,50 +152,88 @@ def test_rpm_round_trip(rpm):
 
 
 # --------------------------------------------------------------------------
-# monitor
+# the safety monitor
 
 
 def joints6():
     return [plant.default_joint_params(n) for n in plant.JOINT_NAMES]
 
 
+def clamped(p, tau):
+    """The applied torque without a fault on it: the demand saturated to the
+    rating as the plant saturates it, NaN included."""
+    return max(-p.max_torque, min(p.max_torque, tau))
+
+
+def signals_of(joints, step):
+    """The monitor's input signals of one step of (theta, omega, demand,
+    applied) per joint."""
+    signals = {}
+    for p, (theta, omega, demand, applied) in zip(joints, step):
+        signals.update({f"plant.{p.name}.pos": theta, f"plant.{p.name}.vel": omega,
+                        f"plant.{p.name}.torque_cmd": demand, f"plant.{p.name}.torque": applied})
+    return signals
+
+
+def monitor_step(joints, thetas, omegas, demands, k=0, dt=1e-3):
+    """The records ``MonitorBlock`` makes of step ``k`` of a run of its own,
+    with the demands saturated as the applied torques; also checks the
+    record count it writes."""
+    block = plant.MonitorBlock("monitor", joints)
+    step = [(th, om, tau, clamped(p, tau)) for p, th, om, tau in zip(joints, thetas, omegas, demands)]
+    written = emit_named(block, k, signals_of(joints, step), dt=dt)
+    assert written == {"monitor.violations": float(len(block.violations))}
+    return block.violations
+
+
+def rule(p, theta, omega, demand, applied, t):
+    """The safety rule for one joint at time ``t``: a torque past the rating
+    (the demand where it is past it, else the applied torque) or a speed past
+    the rating is an Error, an angle outside the range of travel a Failure.
+    Limits are inclusive, and a NaN is past none."""
+    torque = demand if abs(demand) > p.max_torque else applied
+    checks = [(plant.ViolationKind.TORQUE_ERROR, torque, abs(torque) > p.max_torque),
+              (plant.ViolationKind.SPEED_ERROR, omega, abs(omega) > p.max_speed),
+              (plant.ViolationKind.ANGLE_FAILURE, theta,
+               not (math.isnan(theta) or p.rot_min <= theta <= p.rot_max))]
+    return [plant.ViolationRecord(t, p.name, kind, value) for kind, value, past in checks if past]
+
+
 def test_monitor_all_quiet_at_rest():
-    js = joints6()
-    recs = plant.monitor(js, [0.0] * 6, [0.0] * 6, [0.0] * 6, 0.0)
-    assert recs == []
+    assert monitor_step(joints6(), [0.0] * 6, [0.0] * 6, [0.0] * 6) == []
 
 
 def test_monitor_angle_failure_beyond_rot():
     js = [plant.default_joint_params("left_hip")]
-    recs = plant.monitor(js, [91.0 * plant.DEG], [0.0], [0.0], 1.0)
+    recs = monitor_step(js, [91.0 * plant.DEG], [0.0], [0.0], k=1000)
     assert len(recs) == 1
     assert recs[0].kind is plant.ViolationKind.ANGLE_FAILURE
     assert recs[0].joint == "left_hip"
+    assert recs[0].t == 1000 * 1e-3
     # at the limit itself: no violation
-    assert plant.monitor(js, [90.0 * plant.DEG], [0.0], [0.0], 1.0) == []
+    assert monitor_step(js, [90.0 * plant.DEG], [0.0], [0.0], k=1000) == []
 
 
 def test_monitor_speed_error_above_rating():
     js = [plant.default_joint_params("right_knee")]
     fast = plant.rpm_to_rad_s(65.3)
-    recs = plant.monitor(js, [-0.5], [fast], [0.0], 2.0)
+    recs = monitor_step(js, [-0.5], [fast], [0.0], k=2000)
     assert [r.kind for r in recs] == [plant.ViolationKind.SPEED_ERROR]
     ok = plant.rpm_to_rad_s(65.1)
-    assert plant.monitor(js, [-0.5], [ok], [0.0], 2.0) == []
+    assert monitor_step(js, [-0.5], [ok], [0.0], k=2000) == []
 
 
 def test_monitor_torque_error_on_demand_not_applied():
     js = [plant.default_joint_params("right_knee")]
-    recs = plant.monitor(js, [-0.5], [0.0], [60.0], 3.0)
-    assert [r.kind for r in recs] == [plant.ViolationKind.TORQUE_ERROR]
+    recs = monitor_step(js, [-0.5], [0.0], [60.0], k=3000)
+    assert [(r.kind, r.value) for r in recs] == [(plant.ViolationKind.TORQUE_ERROR, 60.0)]
 
 
 def test_monitor_one_record_per_joint_and_step():
-    js = joints6()
     thetas = [2.0] * 6  # everything out of range
-    recs = plant.monitor(js, thetas, [0.0] * 6, [0.0] * 6, 0.0)
+    recs = monitor_step(joints6(), thetas, [0.0] * 6, [0.0] * 6)
     assert len(recs) == 6
-    assert {r.joint for r in recs} == set(plant.JOINT_NAMES)
+    assert [r.joint for r in recs] == list(plant.JOINT_NAMES)
 
 
 def test_default_limits_table():
@@ -316,28 +354,17 @@ def monitor_cases(p):
     ]
 
 
-def clamped(p, tau):
-    """The applied torque without a fault on it: the demand saturated to the
-    rating as the plant saturates it, NaN included."""
-    return max(-p.max_torque, min(p.max_torque, tau))
-
-
-def test_monitor_block_records_what_monitor_returns():
+def test_monitor_block_records_follow_the_rule():
     joints = joints6()
     block = plant.MonitorBlock("monitor", joints)
     probes = [monitor_cases(p) for p in joints]
     expected = []
     for k in range(len(probes[0])):
-        t = 0.25 * k
-        step = [probes[i][(k + i) % len(probes[i])] for i in range(len(joints))]
-        signals = {}
-        for p, (theta, omega, tau) in zip(joints, step):
-            signals.update({f"plant.{p.name}.pos": theta, f"plant.{p.name}.vel": omega,
-                            f"plant.{p.name}.torque_cmd": tau,
-                            f"plant.{p.name}.torque": clamped(p, tau)})
-        thetas, omegas, demands = (list(column) for column in zip(*step))
-        records = plant.monitor(joints, thetas, omegas, demands, t)
-        assert emit_named(block, k, signals, dt=0.25) == \
+        step = [(theta, omega, tau, clamped(p, tau))
+                for i, p in enumerate(joints)
+                for theta, omega, tau in [probes[i][(k + i) % len(probes[i])]]]
+        records = [r for p, state in zip(joints, step) for r in rule(p, *state, 0.25 * k)]
+        assert emit_named(block, k, signals_of(joints, step), dt=0.25) == \
             {"monitor.violations": float(len(records))}
         assert block.violations == records  # emit_named binds: a run of its own
         expected.extend(records)
@@ -347,17 +374,54 @@ def test_monitor_block_records_what_monitor_returns():
 
 def test_one_joint_monitor_block():
     p = plant.default_joint_params("right_knee")
-    block = plant.MonitorBlock("monitor", [p])
+    counts = []
     for k, (theta, omega, tau) in enumerate(monitor_cases(p)):
-        signals = {"plant.right_knee.pos": theta, "plant.right_knee.vel": omega,
-                   "plant.right_knee.torque_cmd": tau, "plant.right_knee.torque": clamped(p, tau)}
-        records = plant.monitor([p], [theta], [omega], [tau], float(k))
-        assert emit_named(block, k, signals, dt=1.0) == \
-            {"monitor.violations": float(len(records))}
-        assert block.violations == records  # emit_named binds: a run of its own
+        records = monitor_step([p], [theta], [omega], [tau], k=k, dt=1.0)
+        assert records == rule(p, theta, omega, tau, clamped(p, tau), float(k))
+        counts.append(len(records))
     # at the limits and NaN inputs: nothing; past one limit: one record each
-    assert [len(plant.monitor([p], [th], [om], [tau], 0.0)) for th, om, tau in monitor_cases(p)] \
-        == [0, 0, 0, 0, 1, 1, 1, 1, 1, 1, 3, 0, 0, 0, 0]
+    assert counts == [0, 0, 0, 0, 1, 1, 1, 1, 1, 1, 3, 0, 0, 0, 0]
+
+
+@st.composite
+def monitored_steps(draw):
+    """Some of the six joints, in declaration order, and a few steps of
+    (theta, omega, demand, applied) per joint: each value at, just inside or
+    just past one of the joint's limits, inside all of them, or any float.
+    The applied torque is drawn apart from the demand, as an injector on it
+    makes it."""
+    names = draw(st.sets(st.sampled_from(plant.JOINT_NAMES), min_size=1))
+    joints = [plant.default_joint_params(n) for n in plant.JOINT_NAMES if n in names]
+
+    def near(low, high):
+        edges = [math.nan, math.inf, -math.inf, 0.0, -0.0, 0.5 * (low + high)]
+        for x in (low, high):
+            edges += [x, math.nextafter(x, math.inf), math.nextafter(x, -math.inf)]
+        return st.sampled_from(edges) | st.floats()
+
+    state = [st.tuples(near(p.rot_min, p.rot_max), near(-p.max_speed, p.max_speed),
+                       near(-p.max_torque, p.max_torque), near(-p.max_torque, p.max_torque))
+             for p in joints]
+    steps = draw(st.lists(st.tuples(*state), min_size=1, max_size=4))
+    return joints, draw(st.integers(0, 7000)), steps
+
+
+@given(monitored_steps())
+def test_monitor_block_applies_the_rule_at_every_limit(case):
+    joints, k0, steps = case
+    reads = {f"plant.{p.name}.torque": f"inj.{p.name}.out" for p in joints}
+    block = plant.MonitorBlock("monitor", joints, reads=reads)
+    dt = 1e-3
+    slots, values = bind_alone(block, block.inputs, ClockConfig(dt_s=dt))
+    expected = []
+    for k, step in enumerate(steps, start=k0):
+        for name, value in signals_of(joints, step).items():
+            values[slots[reads.get(name, name)]] = value
+        block.emit(k, values)
+        records = [r for p, state in zip(joints, step) for r in rule(p, *state, k * dt)]
+        assert values[slots["monitor.violations"]] == float(len(records))
+        expected.extend(records)
+        assert block.violations == expected
 
 
 def test_monitor_block_checks_the_applied_torque_it_reads():
