@@ -360,9 +360,8 @@ def test_monitor_block_records_follow_the_rule():
     probes = [monitor_cases(p) for p in joints]
     expected = []
     for k in range(len(probes[0])):
-        step = [(theta, omega, tau, clamped(p, tau))
-                for i, p in enumerate(joints)
-                for theta, omega, tau in [probes[i][(k + i) % len(probes[i])]]]
+        cases = [probes[i][(k + i) % len(probes[i])] for i in range(len(joints))]
+        step = [(theta, omega, tau, clamped(p, tau)) for p, (theta, omega, tau) in zip(joints, cases)]
         records = [r for p, state in zip(joints, step) for r in rule(p, *state, 0.25 * k)]
         assert emit_named(block, k, signals_of(joints, step), dt=0.25) == \
             {"monitor.violations": float(len(records))}
