@@ -84,28 +84,33 @@ def _opened(path_or_file):
 
 @dataclass(frozen=True)
 class TraceLog:
-    """Immutable per-step record of monitored signals."""
+    """Immutable per-step record of monitored signals: the time axis and
+    one 1-D array per column. A column may be a view of a larger array, as
+    a run's ``dmp.*`` columns are of the shared DMP target table, so
+    ``run`` returns every column read-only."""
 
     columns: tuple[str, ...]
     t: np.ndarray
-    data: np.ndarray  # shape (n_steps, len(columns))
+    data: tuple[np.ndarray, ...]  # one array of len(t) values per column, in columns order
 
     def signal(self, name: str) -> np.ndarray:
-        return self.data[:, self.columns.index(name)]
+        return self.data[self.columns.index(name)]
 
     def __len__(self) -> int:
         return len(self.t)
 
     def to_csv(self, path_or_file) -> None:
         """Write a ``t`` column and one column per signal, every value as
-        ``%.9g``, ``TRACE_CSV_CHUNK`` rows per write."""
+        ``%.9g``, ``TRACE_CSV_CHUNK`` rows per write, each formatted from
+        the chunk's slice of every column."""
         with _opened(path_or_file) as fh:
             fh.write(",".join(("t",) + self.columns) + "\n")
             row_format = ",".join(["%.9g"] * (1 + len(self.columns))) + "\n"
+            arrays = (self.t, *self.data)
             for start in range(0, len(self.t), TRACE_CSV_CHUNK):
                 stop = start + TRACE_CSV_CHUNK
-                fh.write("".join([row_format % (t, *row) for t, row in zip(
-                    self.t[start:stop].tolist(), self.data[start:stop].tolist())]))
+                fh.write("".join([row_format % row for row in zip(
+                    *[a[start:stop].tolist() for a in arrays])]))
 
     def to_csv_str(self) -> str:
         buf = io.StringIO()
@@ -193,22 +198,34 @@ def run(graph: BlockGraph, clock: ClockConfig, seed: int,
     positional arguments. Every slot starts as ``None`` and has one
     producer that writes it every step, so a block that reads a signal
     before its producer writes it fails on the first step run.
+
+    The trace's columns are read-only. A DMP block's output column is a
+    view of the run's rows of its column of the target table
+    (``DmpSystemBlock.table_columns``), which the block's outputs equal bit
+    for bit. Each step packs the other monitored values into its row of one
+    ``(steps, m)`` array in place, and a restarted run copies the golden
+    prefix into that array alone. A run with no step takes no column from
+    the table, so it forces no rollout.
     """
     steps = clock.n_steps
     dt = clock.dt_s
     columns = graph.monitored
-    data = np.empty((steps, len(columns)))
+    from_table = {} if steps == 0 else {
+        name: (b.targets, c) for b in graph.blocks if isinstance(b, dmp_mod.DmpSystemBlock)
+        for name, c in zip(b.state_output_names, b.table_columns)}
+    recorded = [c for c in columns if c not in from_table]
+    data = np.empty((steps, len(recorded)))
     t_arr = np.arange(steps) * dt
-    # each step packs its monitored values into its row of ``data`` in place
-    slots = [graph.slots[c] for c in columns]
+    # each step packs its recorded values into its row of ``data`` in place
+    slots = [graph.slots[c] for c in recorded]
     if len(slots) > 1:
         monitored_values = operator.itemgetter(*slots)
     elif slots:  # a one-element slice, so that one value is a sequence too
         monitored_values = operator.itemgetter(slice(slots[0], slots[0] + 1))
     else:
         monitored_values = None
-    pack_row = struct.Struct(f"{len(columns)}d").pack_into
-    row_bytes = data.itemsize * len(columns)
+    pack_row = struct.Struct(f"{len(recorded)}d").pack_into
+    row_bytes = data.itemsize * len(recorded)
 
     for b in graph.blocks:
         b.bind(graph.slots, clock)
@@ -221,7 +238,7 @@ def run(graph: BlockGraph, clock: ClockConfig, seed: int,
     start = 0 if golden is None else min(
         (log[0][0] for log in windows.values() if log), default=steps)
     if start:
-        for i, column in enumerate(columns):
+        for i, column in enumerate(recorded):
             data[:start, i] = _golden_column(graph, golden, column)[:start]
         if start < steps:
             for b in graph.blocks:
@@ -243,7 +260,16 @@ def run(graph: BlockGraph, clock: ClockConfig, seed: int,
             pack_row(data, k * row_bytes, *monitored_values(values))
         for advance in advancers:
             advance(k, values)
-    return TraceLog(columns=columns, t=t_arr, data=data)
+    data.flags.writeable = False
+    recorded_columns = iter(data.T)
+    trace = []
+    for column in columns:
+        if column in from_table:
+            targets, c = from_table[column]
+            trace.append(targets.rows[:steps, c])
+        else:
+            trace.append(next(recorded_columns))
+    return TraceLog(columns=columns, t=t_arr, data=tuple(trace))
 
 
 def _golden_column(graph: BlockGraph, golden: TraceLog, column: str) -> np.ndarray:

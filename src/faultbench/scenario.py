@@ -456,7 +456,9 @@ def _resolve_demo(demo_file: str, base_dir: Path) -> Path | None:
 
 
 def load_scenario_file(path) -> tuple[ScenarioConfig, list[str]]:
-    """Parse a scenario file; raises ScenarioParseError if it is not JSON."""
+    """Parse a scenario file; raises ScenarioParseError if it cannot be read
+    or is not JSON: a directory, bytes that are not UTF-8, nesting deeper
+    than the parser recurses, or an integer past Python's digit limit."""
     p = Path(path)
     if not p.exists():
         candidate = data_path(str(path))
@@ -465,9 +467,11 @@ def load_scenario_file(path) -> tuple[ScenarioConfig, list[str]]:
         else:
             raise ScenarioParseError(f"scenario file not found: {path}")
     try:
-        raw = json.loads(p.read_text())
+        raw = json.loads(p.read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
         raise ScenarioParseError(f"invalid JSON in {p}: {exc}") from exc
+    except (OSError, ValueError, RecursionError) as exc:
+        raise ScenarioParseError(f"cannot read {p}: {exc}") from exc
     if not isinstance(raw, dict):
         raise ScenarioParseError(f"{p}: top level must be a JSON object")
     return parse_scenario(raw, p.parent)

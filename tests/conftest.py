@@ -88,7 +88,12 @@ def read_trace_csv(path_or_file) -> TraceLog:
         raise ValueError("trace CSV must start with a 't' column")
     rows = [[float(v) for v in line.split(",")] for line in path_or_file if line.strip()]
     arr = np.array(rows).reshape(len(rows), len(names))
-    return TraceLog(columns=tuple(names[1:]), t=arr[:, 0], data=arr[:, 1:])
+    return TraceLog(columns=tuple(names[1:]), t=arr[:, 0], data=tuple(arr[:, 1:].T))
+
+
+def trace_rows(trace: TraceLog) -> np.ndarray:
+    """A trace's values as one ``(steps, columns)`` array."""
+    return np.array(trace.data).reshape(len(trace.columns), len(trace)).T
 
 
 @pytest.fixture(scope="session")

@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 from faultbench import cli, experiments, plant
 from faultbench.scenario import base_signal_names, data_path
 
-from conftest import BAD_NUMBER_CASES, read_trace_csv, write_bad_number_case
+from conftest import BAD_NUMBER_CASES, read_trace_csv, trace_rows, write_bad_number_case
 
 
 CASE_STUDY = str(data_path("case_study.json"))
@@ -203,6 +203,33 @@ def test_validate_parse_error_exits_2(tmp_path):
     assert run_cli("validate", str(tmp_path / "missing.json")) == 2
 
 
+UNREADABLE_SCENARIOS = {
+    "directory": None,
+    "not-utf-8": b'{"seed": "\xff\xfe"}',
+    "nested-100000-deep": b"[" * 100_000 + b"]" * 100_000,
+    "int-of-5000-digits": b'{"seed": ' + b"7" * 5000 + b"}",
+}
+
+
+@pytest.mark.parametrize("command", ["validate", "run", "sweep"])
+@pytest.mark.parametrize("kind", list(UNREADABLE_SCENARIOS))
+def test_an_unreadable_scenario_is_one_parse_error_line(tmp_path, capsys, kind, command):
+    p = tmp_path / "scenario.json"
+    if UNREADABLE_SCENARIOS[kind] is None:
+        p.mkdir()
+    else:
+        p.write_bytes(UNREADABLE_SCENARIOS[kind])
+    extra = {"validate": (), "run": ("--quiet",),
+             "sweep": ("--durations", "0.005", "--seeds", "1", "--jobs", "1", "--quiet")}
+    out = () if command == "validate" else ("--out", str(tmp_path / "out"))
+    assert run_cli(command, str(p), *out, *extra[command]) == 2
+    captured = capsys.readouterr()
+    err = captured.err.splitlines()
+    assert len(err) == 1 and err[0].startswith("parse error: "), err
+    assert captured.out == ""
+    assert not (tmp_path / "out").exists()
+
+
 # --------------------------------------------------------------------------
 # run
 
@@ -264,7 +291,7 @@ def test_run_without_monitored_signals_writes_the_time_column(tmp_path, capsys):
     assert (tmp_path / "out" / "trace.csv").read_text() == "t\n0\n0.001\n0.002\n"
     trace = read_trace_csv(tmp_path / "out" / "trace.csv")
     assert trace.columns == ()
-    assert trace.data.shape == (3, 0)
+    assert trace_rows(trace).shape == (3, 0)
 
 
 @pytest.mark.parametrize("where, value, parts", BAD_NUMBER_CASES)

@@ -10,7 +10,7 @@ from faultbench import dmp, engine, faults, plant
 from faultbench.blocks import Block, slot_range
 from faultbench.scenario import ClockConfig, MonitorConfig
 
-from conftest import make_scenario, read_trace_csv, stuck_spec
+from conftest import make_scenario, read_trace_csv, stuck_spec, trace_rows
 
 
 def run_cfg(cfg, seed=0):
@@ -119,7 +119,7 @@ def test_step_count_and_time_axis(case_study_cfg):
     assert len(trace) == 7000
     assert trace.t[0] == 0.0
     assert trace.t[-1] == pytest.approx(6.999)
-    assert len(trace.t) == trace.data.shape[0]
+    assert trace_rows(trace).shape[0] == len(trace.t)
 
 
 def test_zero_duration_clock_gives_empty_trace(minimal_cfg):
@@ -128,7 +128,7 @@ def test_zero_duration_clock_gives_empty_trace(minimal_cfg):
     cfg = replace(minimal_cfg, clock=ClockConfig(dt_s=1e-3, t_end_s=0.0))
     _, trace = run_cfg(cfg)
     assert len(trace) == 0
-    assert trace.data.shape == (0, len(trace.columns))
+    assert trace_rows(trace).shape == (0, len(trace.columns))
 
 
 def test_determinism_same_seed_identical_bytes(case_study_cfg):
@@ -158,7 +158,7 @@ def test_no_time_travel_prefix_property():
     _, long_tr = run_cfg(cfg_long, seed=9)
     _, short_tr = run_cfg(cfg_short, seed=9)
     assert long_tr.columns == short_tr.columns
-    assert np.array_equal(long_tr.data[: len(short_tr)], short_tr.data)
+    assert np.array_equal(trace_rows(long_tr)[: len(short_tr)], trace_rows(short_tr))
 
 
 def test_order_independence_of_unrelated_injectors():
@@ -276,7 +276,7 @@ def test_finite_outputs_whose_sum_overflows_pass(emitted):
     graph = engine.BlockGraph([Emitter("src", {"a": 1e308, "b": 1e308, "c": -1e308},
                                        emitted)])
     trace = engine.run(graph, ClockConfig(dt_s=0.25, t_end_s=1.0), 0)
-    assert trace.data.tolist()[-1] == [1e308, 1e308, -1e308]
+    assert trace_rows(trace).tolist()[-1] == [1e308, 1e308, -1e308]
 
 
 def test_of_two_non_finite_blocks_on_one_step_the_first_written_is_named():
@@ -397,7 +397,7 @@ def test_trace_rows_match_a_per_step_record(n_steps):
         trace = engine.run(engine.BlockGraph(graph.blocks + [recorder], monitored),
                            cfg.clock, 7)
         assert trace.columns == monitored
-        assert trace.data.shape == (n_steps, len(monitored))
+        assert trace_rows(trace).shape == (n_steps, len(monitored))
         want = np.array(recorder.rows)
         for name in monitored:
             assert np.array_equal(trace.signal(name), want[:, every.index(name)]), name
@@ -427,7 +427,7 @@ def test_a_run_of_a_graph_keeps_nothing_of_its_last_run():
 
     def outcome(graph, seed):
         trace = engine.run(graph, cfg.clock, seed)
-        return (trace.data.tobytes(), list(graph.block("monitor").violations),
+        return (trace_rows(trace).tobytes(), list(graph.block("monitor").violations),
                 [list(b.windows) for b in graph.blocks if isinstance(b, faults.Injector)])
     fresh = {seed: outcome(engine.build_graph(cfg), seed) for seed in (0, 1)}
     assert fresh[1][1] and not fresh[0][1]  # seed 1 violates a limit, seed 0 does not
@@ -478,7 +478,7 @@ def test_trace_csv_round_trip(minimal_cfg):
     back = read_trace_csv(buf)
     assert back.columns == trace.columns
     # %.9g formatting bounds the round-trip error
-    assert np.allclose(back.data, trace.data, rtol=1e-8, atol=1e-12)
+    assert np.allclose(trace_rows(back), trace_rows(trace), rtol=1e-8, atol=1e-12)
     assert np.allclose(back.t, trace.t, rtol=1e-8)
 
 
@@ -499,7 +499,7 @@ def per_value_csv(trace):
     a header of ``t`` alone when there are no columns."""
     lines = [",".join(("t",) + trace.columns)]
     for i in range(len(trace.t)):
-        lines.append(",".join(f"{v:.9g}" for v in (trace.t[i], *trace.data[i])))
+        lines.append(",".join(f"{v:.9g}" for v in (trace.t[i], *(a[i] for a in trace.data))))
     return "\n".join(lines) + "\n"
 
 
@@ -514,18 +514,18 @@ def test_trace_csv_bytes_match_per_value_formatting(n_rows, n_columns):
     values[:len(specials)] = specials[:len(values)]
     trace = engine.TraceLog(columns=tuple(f"s{i}" for i in range(n_columns)),
                             t=np.arange(n_rows) * 1e-3,
-                            data=values.reshape(n_rows, n_columns))
+                            data=tuple(values.reshape(n_rows, n_columns).T))
     assert trace.to_csv_str() == per_value_csv(trace)
 
 
 def test_zero_column_trace_round_trip():
-    trace = engine.TraceLog(columns=(), t=np.arange(3) * 0.5, data=np.empty((3, 0)))
+    trace = engine.TraceLog(columns=(), t=np.arange(3) * 0.5, data=())
     text = trace.to_csv_str()
     assert text == "t\n0\n0.5\n1\n"
     back = read_trace_csv(io.StringIO(text))
     assert back.columns == ()
     assert np.array_equal(back.t, trace.t)
-    assert back.data.shape == (3, 0)
+    assert trace_rows(back).shape == (3, 0)
 
 
 @pytest.mark.parametrize("n_steps", [0, 1, 255, 256, 257])
@@ -535,7 +535,7 @@ def test_monitored_columns_match_the_full_trace(monitored, n_steps):
     _, full = run_cfg(make_scenario(t_end=n_steps * 1e-3))
     _, trace = run_cfg(make_scenario(monitored=monitored, t_end=n_steps * 1e-3))
     assert trace.columns == monitored
-    assert trace.data.shape == (n_steps, len(monitored))
+    assert trace_rows(trace).shape == (n_steps, len(monitored))
     for name in monitored:
         assert full.signal(name).tobytes() == trace.signal(name).tobytes(), name
 
@@ -549,7 +549,7 @@ def test_trace_csv_writer_holds_no_copy_of_the_trace(tmp_path):
     rng = np.random.default_rng(5)
     trace = engine.TraceLog(columns=tuple(f"s{i}" for i in range(n_columns)),
                             t=np.arange(n_steps) * 1e-3,
-                            data=rng.normal(0.0, 1.0, size=(n_steps, n_columns)))
+                            data=tuple(rng.normal(0.0, 1.0, size=(n_steps, n_columns)).T))
     trace.to_csv(tmp_path / "warm.csv")  # the file machinery's one-time allocations
     tracemalloc.start()
     try:
@@ -561,8 +561,71 @@ def test_trace_csv_writer_holds_no_copy_of_the_trace(tmp_path):
     assert (tmp_path / "trace.csv").read_text() == per_value_csv(trace)
 
 
+INTERLEAVED = ("dmp.right_knee.vel", "plant.right_knee.pos", "inj.stuck.out",
+               "dmp.right_knee.pos", "inj.stuck.trigger", "dmp.right_knee.acc",
+               "plant.right_knee.torque")
+
+
+def test_dmp_columns_are_read_only_views_of_the_target_table():
+    cfg = make_scenario(injectors=[stuck_spec(target="dmp.right_knee.pos", p=0.01,
+                                              duration=0.02)],
+                        monitored=INTERLEAVED, t_end=0.3)
+    graph, trace = run_cfg(cfg, seed=7)
+    block = graph.block("dmp")
+    for name, c in zip(block.state_output_names, block.table_columns):
+        column = trace.signal(name)
+        assert np.shares_memory(column, block.targets.rows), name
+        assert np.array_equal(column, block.targets.rows[:len(trace), c]), name
+    for name, column in zip(trace.columns, trace.data):
+        assert not column.flags.writeable, name
+        with pytest.raises(ValueError):
+            column[0] = 0.0
+
+
+@pytest.mark.parametrize("seed", [0, 7])
+def test_interleaved_table_and_recorded_columns_match_the_full_trace(seed):
+    """``dmp.*``, ``plant.*`` and ``inj.*`` columns in mixed order: each
+    column is the full trace's, and ``trace.csv`` formats them per value."""
+    spec = stuck_spec(target="dmp.right_knee.pos", p=0.01, duration=0.02)
+    _, full = run_cfg(make_scenario(injectors=[spec], t_end=0.3), seed)
+    _, trace = run_cfg(make_scenario(injectors=[spec], monitored=INTERLEAVED, t_end=0.3), seed)
+    assert trace.signal("inj.stuck.trigger").any()
+    assert not np.array_equal(trace.signal("inj.stuck.out"), trace.signal("dmp.right_knee.pos"))
+    assert trace.columns == INTERLEAVED
+    for name in INTERLEAVED:
+        assert full.signal(name).tobytes() == trace.signal(name).tobytes(), name
+    assert trace.to_csv_str() == per_value_csv(trace)
+
+
+def test_a_zero_step_run_does_not_roll_the_table_out(rollouts):
+    cfg = make_scenario(injectors=[stuck_spec()], t_end=0.5)
+    graph = engine.build_graph(cfg)
+    trace = engine.run(graph, ClockConfig(dt_s=1e-3, t_end_s=0.0), 0)
+    assert rollouts == []
+    assert trace.columns == graph.monitored
+    assert trace_rows(trace).shape == (0, len(graph.monitored))
+
+
+def test_a_run_holds_no_copy_of_the_target_table(case_study_cfg):
+    """A warm 47-column case-study run allocates its 29 recorded columns
+    (1 624 000 B) and the time axis, and takes its 18 ``dmp.*`` columns
+    from the target table: copying them too would add 1 008 000 B."""
+    import tracemalloc
+    graph = engine.build_graph(case_study_cfg)
+    engine.run(graph, case_study_cfg.clock, 0)  # rolls the table out
+    tracemalloc.start()
+    try:
+        trace = engine.run(graph, case_study_cfg.clock, 0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(trace.columns) == 47
+    assert sum(name.startswith("dmp.") for name in trace.columns) == 18
+    assert peak < 2_400_000, peak
+
+
 def test_empty_trace_round_trip():
-    trace = engine.TraceLog(columns=("a", "b"), t=np.empty(0), data=np.empty((0, 2)))
+    trace = engine.TraceLog(columns=("a", "b"), t=np.empty(0), data=(np.empty(0), np.empty(0)))
     back = read_trace_csv(io.StringIO(trace.to_csv_str()))
     assert back.columns == ("a", "b")
     assert len(back) == 0

@@ -535,7 +535,7 @@ def test_a_scenario_without_injectors_returns_its_reference(tight_hips_reference
     monkeypatch.setattr(MonitorBlock, "emit", lambda *args: pytest.fail("a step ran"))
     out = ex.simulate(six_joints(0.7, TIGHT_HIPS), seed=CUT_SEED, reference=tight_hips_reference)
     assert out.trace.columns == ("monitor.violations",)
-    assert np.array_equal(out.trace.data[:, 0],
+    assert np.array_equal(out.trace.data[0],
                           tight_hips_reference.trace.signal("monitor.violations"))
     assert (out.violations, out.classification, out.activations) == \
         (tight_hips_reference.violations, tight_hips_reference.classification, {})

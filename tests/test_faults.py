@@ -473,7 +473,7 @@ RESTART_CASES = [
 @pytest.mark.parametrize("fault_type,event,effect,enabled", RESTART_CASES)
 def test_restart_sets_the_state_of_the_steps_it_skips(fault_type, event, effect, enabled):
     inputs = _generator(9).normal(size=400)
-    golden = engine.TraceLog(columns=("sig",), t=np.arange(400) * DT, data=inputs[:, None])
+    golden = engine.TraceLog(columns=("sig",), t=np.arange(400) * DT, data=(inputs,))
     clock = ClockConfig(dt_s=DT, t_end_s=0.4)
     stepped = make_injector(fault_type, event, effect, enabled)
     slots, values = bind_alone(stepped, ("sig",), clock)
