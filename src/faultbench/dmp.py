@@ -280,9 +280,8 @@ class DmpSystemBlock(Block):
 
     ``indices`` are the positions in the table of ``joint_names``' primitives
     (by default all of them, in order). The block reads those joints'
-    columns, a chunk of rows at a time; ``table_columns`` holds the table
-    column of each of its outputs, in ``state_output_names`` order, so a
-    run's trace can take those columns from the table itself.
+    columns, a chunk of rows at a time, and ``trace_columns`` gives a run's
+    trace those columns of the table itself.
     """
 
     def __init__(self, name: str, joint_names: list[str], targets: TargetTable,
@@ -294,7 +293,7 @@ class DmpSystemBlock(Block):
         self.name = name
         self.joint_names = list(joint_names)
         self.targets = targets
-        self.table_columns = [3 * i + field for i in indices for field in range(3)]
+        self._columns = [3 * i + field for i in indices for field in range(3)]
         self.state_output_names = tuple(
             f"dmp.{j}.{field}" for j in joint_names for field in ("pos", "vel", "acc")
         )
@@ -317,9 +316,16 @@ class DmpSystemBlock(Block):
         if not 0 <= i < len(self._chunk):
             self._chunk_start = k
             rows = self.targets.rows[k:k + ROLLOUT_CHUNK]
-            self._chunk = rows[:, self.table_columns].tolist()
+            self._chunk = rows[:, self._columns].tolist()
             i = 0
         values[self._written] = self._chunk[i]
+
+    def trace_columns(self, steps: int) -> dict[str, np.ndarray]:
+        """Each output's values over the first ``steps`` steps, by name: the
+        read-only views of the table's columns that the outputs equal bit
+        for bit."""
+        rows = self.targets.rows[:steps]
+        return {name: rows[:, c] for name, c in zip(self.state_output_names, self._columns)}
 
     def restart(self, k: int, golden) -> None:
         """Nothing to set: the targets are read by step."""

@@ -199,20 +199,22 @@ def run(graph: BlockGraph, clock: ClockConfig, seed: int,
     producer that writes it every step, so a block that reads a signal
     before its producer writes it fails on the first step run.
 
-    The trace's columns are read-only. A DMP block's output column is a
-    view of the run's rows of its column of the target table
-    (``DmpSystemBlock.table_columns``), which the block's outputs equal bit
-    for bit. Each step packs the other monitored values into its row of one
-    ``(steps, m)`` array in place, and a restarted run copies the golden
-    prefix into that array alone. A run with no step takes no column from
-    the table, so it forces no rollout.
+    The trace's columns are read-only. A DMP block's output columns are
+    the views of its target table that ``DmpSystemBlock.trace_columns``
+    gives, which the block's outputs equal bit for bit. Each step packs the
+    other monitored values into its row of one ``(steps, m)`` array in
+    place, and a restarted run copies the golden prefix into that array
+    alone. A run with no step, or with no ``dmp.*`` column, takes no column
+    from the table, so it forces no rollout.
     """
     steps = clock.n_steps
     dt = clock.dt_s
     columns = graph.monitored
-    from_table = {} if steps == 0 else {
-        name: (b.targets, c) for b in graph.blocks if isinstance(b, dmp_mod.DmpSystemBlock)
-        for name, c in zip(b.state_output_names, b.table_columns)}
+    # the DMP blocks whose outputs the trace takes from their target table
+    tabled = [] if steps == 0 else [
+        b for b in graph.blocks if isinstance(b, dmp_mod.DmpSystemBlock)
+        and not set(b.state_output_names).isdisjoint(columns)]
+    from_table = {name for b in tabled for name in b.state_output_names}
     recorded = [c for c in columns if c not in from_table]
     data = np.empty((steps, len(recorded)))
     t_arr = np.arange(steps) * dt
@@ -261,15 +263,10 @@ def run(graph: BlockGraph, clock: ClockConfig, seed: int,
         for advance in advancers:
             advance(k, values)
     data.flags.writeable = False
-    recorded_columns = iter(data.T)
-    trace = []
-    for column in columns:
-        if column in from_table:
-            targets, c = from_table[column]
-            trace.append(targets.rows[:steps, c])
-        else:
-            trace.append(next(recorded_columns))
-    return TraceLog(columns=columns, t=t_arr, data=tuple(trace))
+    trace = dict(zip(recorded, data.T))
+    for b in tabled:
+        trace.update(b.trace_columns(steps))
+    return TraceLog(columns=columns, t=t_arr, data=tuple(trace[c] for c in columns))
 
 
 def _golden_column(graph: BlockGraph, golden: TraceLog, column: str) -> np.ndarray:

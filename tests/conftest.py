@@ -92,7 +92,10 @@ def read_trace_csv(path_or_file) -> TraceLog:
 
 
 def trace_rows(trace: TraceLog) -> np.ndarray:
-    """A trace's values as one ``(steps, columns)`` array."""
+    """A trace's values as one ``(steps, columns)`` array, after checking
+    that the trace holds one array of ``len(trace)`` values per column."""
+    assert len(trace.data) == len(trace.columns)
+    assert all(np.shape(column) == (len(trace),) for column in trace.data)
     return np.array(trace.data).reshape(len(trace.columns), len(trace)).T
 
 

@@ -572,7 +572,8 @@ def test_dmp_columns_are_read_only_views_of_the_target_table():
                         monitored=INTERLEAVED, t_end=0.3)
     graph, trace = run_cfg(cfg, seed=7)
     block = graph.block("dmp")
-    for name, c in zip(block.state_output_names, block.table_columns):
+    # the full graph's block reads every joint, in the table's column order
+    for c, name in enumerate(block.state_output_names):
         column = trace.signal(name)
         assert np.shares_memory(column, block.targets.rows), name
         assert np.array_equal(column, block.targets.rows[:len(trace), c]), name
